@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import comb, floor
 
 from .constants import DEFAULT_TAIL_WIDTH, PipelineParams, h_of, tail_sum, x_of
-from .errors import BadCutoff, BadEps, CollinearInput, PreconditionViolated
-from .geometry import ArrangementStats, subgraph_edge_count
+from .errors import BadCutoff, BadEps, PreconditionViolated
+from .geometry import ArrangementStats, require_noncollinear, subgraph_edge_count
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,7 @@ def check_main(stats: ArrangementStats, dirac: tuple[int, int]) -> CheckReport:
     part is reported but non-binding when its hypothesis l_max <= n/37
     fails.
     """
-    if stats.n < 3 or stats.l_max == stats.n:
-        raise CollinearInput("degree bound needs a non-collinear set of >= 3 points")
+    require_noncollinear(stats)
     n = stats.n
     witness, degree = dirac
     threshold = Fraction(n, 37)

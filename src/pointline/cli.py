@@ -8,8 +8,8 @@ previews with at least 10 significant digits; floats never appear.
 
 Exit codes: 0 success / all binding checks hold; 1 a binding check failed;
 2 unparseable input (file or flags); 3 duplicate points; 4 unknown check
-name; 5 domain errors (no fixed point, bad cutoff or eps, generation
-failed).
+name; 5 domain errors (no fixed point; a cutoff, eps, alpha, beta or tail
+width out of range; generation failed).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .generators import RNG_ALGORITHM, GeneratorSpec, generate, search_min_dirac
-from .geometry import ArrangementStats, PointSet, compute_arrangement, dirac_degree
+from .geometry import ArrangementStats, PointSet, compute_arrangement
 from .pointfile import format_points, parse_points, parse_rational
 
 SCHEMA_VERSION = "1"
@@ -221,7 +221,7 @@ def _skipped(name: str, reason: str) -> CheckReport:
     )
 
 
-def _run_check(name, ps, stats, params, c, eps, tail_width):
+def _run_check(name, stats, params, c, eps, tail_width):
     if name == "melchior":
         return check_melchior(stats)
     if name == "hirzebruch":
@@ -233,7 +233,7 @@ def _run_check(name, ps, stats, params, c, eps, tail_width):
         return combine_reports("stt", reports, note=f"levels 2..{stats.l_max}")
     if name == "main":
         try:
-            return check_main(stats, dirac_degree(ps))
+            return check_main(stats, (stats.dirac_witness, stats.dirac_degree))
         except CollinearInput as exc:
             return _skipped(name, str(exc))
     if name == "beck":
@@ -258,11 +258,11 @@ def _cmd_verify(args) -> int:
     try:
         params = PipelineParams(alpha=args.alpha, beta=args.beta)
         entries = [
-            _run_check(name, ps, stats, params, args.c, args.eps, args.tail_width)
+            _run_check(name, stats, params, args.c, args.eps, args.tail_width)
             for name in names
         ]
     except (BadCutoff, BadEps, ValueError) as exc:
-        raise _CliFailure(EXIT_PARSE, str(exc)) from None
+        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
     failures: list[str] = []
     for entry in entries:
         failures.extend(entry.binding_failures())
@@ -355,7 +355,7 @@ def _cmd_constants(args) -> int:
                 payload["beck_constant"] = _interval_payload(beck_constant_from(eps, delta))
                 payload["eps_threshold"] = "1/49"
                 payload["eps_at_least_threshold"] = eps >= Fraction(1, 49)
-    except (BadCutoff, BadEps, NoSolution) as exc:
+    except (BadCutoff, BadEps, NoSolution, ValueError) as exc:
         raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
     _emit_constants(args, payload)
     return EXIT_OK
@@ -366,7 +366,7 @@ def _constants_optimize(args, params) -> int:
         entries = list(
             sweep_fixed_points(args.c_min, args.c_max, params, args.mode, args.tail_width)
         )
-    except (BadCutoff, BadEps) as exc:
+    except (BadCutoff, BadEps, ValueError) as exc:
         raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
     best = None
     for c, eps, delta in entries:

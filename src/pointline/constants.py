@@ -118,17 +118,9 @@ def x_of(c: int) -> Fraction:
     ClaimViolated is raised if that ever stopped being true.
     """
     h = h_of(c)
-    p, q = h.numerator, h.denominator
-    # f(i) = (i-1)/2 - 2h + 9h/i over the common denominator 2qi.
-    # Track the inner maximum with integer cross-multiplication; both
-    # denominators are positive, so the comparison is exact.
-    best_num = best_den = None
-    for i in range(5, c + 1):
-        num = q * i * i - q * i - 4 * p * i + 18 * p
-        den = 2 * q * i
-        if best_num is None or num * best_den > best_num * den:
-            best_num, best_den = num, den
-    inner = Fraction(best_num, best_den)
+    # f(i) = (i-1)/2 - 2h + 9h/i has f''(i) = 18h/i^3 > 0, so f is convex
+    # and its maximum over 5..c lies at i = 5 or i = c.
+    inner = max(Fraction(i - 1, 2) - 2 * h + 9 * h / i for i in (5, c))
     lead = (h + 1) / 2
     x = max(lead, (h + 4) / 4, Fraction(3, 2), inner)
     if x != lead:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import GenerationFailed
-from .geometry import PointSet, dirac_degree
+from .geometry import PointSet, direction_classes
 
 _MASK64 = (1 << 64) - 1
 
@@ -127,27 +126,10 @@ def _random_grid(n: int, extent: int, seed: int) -> PointSet:
     return PointSet.from_coords(chosen)
 
 
-def _direction_degree(pts: list[tuple[int, int]]) -> int:
-    """Max over points of the number of distinct directions to the others.
-
-    Equals the maximum number of determined lines through a point. A set of
-    n >= 2 points is collinear exactly when this is 1.
-    """
-    best = 0
-    for px, py in pts:
-        dirs = set()
-        for qx, qy in pts:
-            dx, dy = qx - px, qy - py
-            if dx == 0 and dy == 0:
-                continue
-            g = gcd(abs(dx), abs(dy))
-            dx, dy = dx // g, dy // g
-            if dx < 0 or (dx == 0 and dy < 0):
-                dx, dy = -dx, -dy
-            dirs.add((dx, dy))
-        if len(dirs) > best:
-            best = len(dirs)
-    return best
+def _max_degree(pts: list[tuple[int, int]]) -> int:
+    """The most determined lines through one point; 1 exactly when n >= 2
+    points are collinear."""
+    return max(len(at_i) for at_i in direction_classes(pts))
 
 
 def _sample_start(rng: SplitMix64, n: int, extent: int) -> list[tuple[int, int]]:
@@ -162,7 +144,7 @@ def _sample_start(rng: SplitMix64, n: int, extent: int) -> list[tuple[int, int]]
         if len(occupied) < n:
             continue
         pts = sorted(occupied)
-        if _direction_degree(pts) >= 2:
+        if _max_degree(pts) >= 2:
             return pts
     raise GenerationFailed("could not sample a non-collinear start")
 
@@ -207,7 +189,7 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
         budget = min(restart_len, iterations - consumed)
         rng = SplitMix64(seed ^ restart)
         pts = _sample_start(rng, n, extent)
-        deg = _direction_degree(pts)
+        deg = _max_degree(pts)
         for _ in range(budget):
             for _attempt in range(64):
                 idx = rng.below(n)
@@ -218,7 +200,7 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
                     continue
                 candidate = list(pts)
                 candidate[idx] = cell
-                cand_deg = _direction_degree(candidate)
+                cand_deg = _max_degree(candidate)
                 if cand_deg < 2:
                     continue  # collinear candidates are rejected
                 if cand_deg <= deg:
@@ -229,12 +211,10 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
             best_pts, best_deg = pts, deg
         restart += 1
 
-    best_set = PointSet.from_coords(best_pts)
-    _witness, degree = dirac_degree(best_set)  # recomputed from scratch
     return SearchResult(
-        best_set=best_set,
-        degree=degree,
-        ratio=Fraction(2 * degree, n),
+        best_set=PointSet.from_coords(best_pts),
+        degree=best_deg,
+        ratio=Fraction(2 * best_deg, n),
         iterations_run=consumed,
         seed=seed,
     )

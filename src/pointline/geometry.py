@@ -5,6 +5,10 @@ arbitrary-precision int). Collinearity is a discrete property: a single
 rounded bit would move lines between histogram buckets, so no floating
 point is allowed anywhere in this module.
 
+The arrangement kernel scales all coordinates once to their common
+denominator, which keeps every collinear triple, and groups the pairs at
+each point by their gcd-reduced integer direction: one group per line.
+
 All functions are pure; callers may fan work out over configurations
 freely.
 """
@@ -15,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CollinearInput, DuplicatePoints, IdenticalPoints
 
@@ -81,8 +85,7 @@ class Line:
 
     Canonical means: a, b, c are integers with gcd 1, (a, b) != (0, 0), and
     the sign is fixed by a > 0, or a == 0 and b > 0. Two point pairs span
-    the same line exactly when their canonical triples are equal, which is
-    what makes hash-grouping by Line correct.
+    the same line exactly when their canonical triples are equal.
     """
 
     a: int
@@ -144,41 +147,71 @@ class ArrangementStats:
     dirac_witness: int | None
 
 
-def compute_arrangement(ps: PointSet) -> ArrangementStats:
-    """Group all point pairs by their canonical line and histogram the sizes.
+def direction_classes(pts: Sequence[tuple[int, int]]) -> list[dict[tuple[int, int], int]]:
+    """For each of the distinct integer points, the lines through it.
 
-    O(n^2) pairs with hash-map grouping. Point sets with n < 2 determine no
-    lines and yield all-zero statistics.
+    classes[i] maps each reduced direction (dx, dy), with dx > 0 or
+    dx == 0 < dy, to the number of other points on the line through point
+    i in that direction. Each pair i < j is visited once and counted at
+    both ends, so a line of k points is a class of size k - 1 at each of
+    its k members.
     """
-    n = ps.n
-    if n < 2:
-        return ArrangementStats(
-            n=n, s={}, lines=0, incidences=0, edges=0, l_max=0,
-            dirac_degree=0, dirac_witness=0 if n == 1 else None,
-        )
-    members: dict[Line, set[int]] = {}
-    pts = ps.points
-    for i in range(n):
+    n = len(pts)
+    classes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for i, (px, py) in enumerate(pts):
+        at_i = classes[i]
         for j in range(i + 1, n):
-            members.setdefault(canonical_line(pts[i], pts[j]), set()).update((i, j))
-    tally = Counter(len(m) for m in members.values())
-    s = {i: tally[i] for i in sorted(tally)}
-    per_point = [0] * n
-    for group in members.values():
-        for idx in group:
-            per_point[idx] += 1
-    degree = max(per_point)
-    witness = per_point.index(degree)
+            qx, qy = pts[j]
+            dx, dy = qx - px, qy - py
+            g = gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            key = (dx // g, dy // g)
+            at_i[key] = at_i.get(key, 0) + 1
+            at_j = classes[j]
+            at_j[key] = at_j.get(key, 0) + 1
+    return classes
+
+
+def _integer_coords(ps: PointSet) -> list[tuple[int, int]]:
+    """The points scaled by the common denominator of all coordinates."""
+    d = lcm(*(c.denominator for p in ps for c in (p.x, p.y)))
+    return [
+        (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
+        for p in ps
+    ]
+
+
+def compute_arrangement(ps: PointSet) -> ArrangementStats:
+    """Histogram the lines of a point set from its direction classes.
+
+    O(n^2) pairs on integers. A line of k points is a class of size k - 1
+    at each of its k members, so s_k is the number of such classes over k.
+    Point sets with n < 2 determine no lines and yield all-zero statistics.
+    """
+    classes = direction_classes(_integer_coords(ps))
+    tally = Counter(size for at_i in classes for size in at_i.values())
+    s = {k + 1: tally[k] // (k + 1) for k in sorted(tally)}
+    degrees = [len(at_i) for at_i in classes]
+    degree = max(degrees, default=0)
     return ArrangementStats(
-        n=n,
+        n=ps.n,
         s=s,
         lines=sum(s.values()),
         incidences=sum(i * si for i, si in s.items()),
         edges=sum((i - 1) * si for i, si in s.items()),
-        l_max=max(s),
+        l_max=max(s, default=0),
         dirac_degree=degree,
-        dirac_witness=witness,
+        dirac_witness=degrees.index(degree) if degrees else None,
     )
+
+
+def require_noncollinear(stats: ArrangementStats) -> None:
+    """Raise CollinearInput for sets with fewer than 3 points or all on one line."""
+    if stats.n < 3:
+        raise CollinearInput(f"need at least 3 points, got {stats.n}")
+    if stats.l_max == stats.n:
+        raise CollinearInput("all points lie on a single line")
 
 
 def dirac_degree(ps: PointSet) -> tuple[int, int]:
@@ -188,11 +221,7 @@ def dirac_degree(ps: PointSet) -> tuple[int, int]:
     fully collinear sets, where the maximum is degenerate.
     """
     stats = compute_arrangement(ps)
-    if ps.n < 3:
-        raise CollinearInput(f"need at least 3 points, got {ps.n}")
-    if stats.l_max == ps.n:
-        raise CollinearInput("all points lie on a single line")
-    assert stats.dirac_witness is not None
+    require_noncollinear(stats)
     return stats.dirac_witness, stats.dirac_degree
 
 

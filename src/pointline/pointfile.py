@@ -1,33 +1,30 @@
 """Plain-text point files: one point per line, "x y", exact rationals.
 
-Each coordinate is an integer or "p/q" with q > 0. Blank lines and lines
-starting with '#' are ignored. The format round-trips exactly.
+Each coordinate is an integer or "p/q" with q > 0, in ASCII digits with an
+optional sign on the numerator only. Blank lines and lines starting with
+'#' are ignored. The format round-trips exactly.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import PointFormatError
 from .geometry import PointSet
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 
 def parse_rational(token: str) -> Fraction:
-    """Parse an integer or "p/q" token; q must be positive."""
-    text = token.strip()
-    if "/" in text:
-        num_text, _, den_text = text.partition("/")
-        try:
-            num, den = int(num_text), int(den_text)
-        except ValueError:
-            raise ValueError(f"not a rational: {token!r}") from None
-        if den <= 0:
-            raise ValueError(f"denominator must be positive in {token!r}")
-        return Fraction(num, den)
-    try:
-        return Fraction(int(text))
-    except ValueError:
-        raise ValueError(f"not an integer: {token!r}") from None
+    """Parse an integer or "p/q" token of ASCII digits; q must be positive."""
+    match = _RATIONAL.fullmatch(token.strip())
+    if match is None:
+        raise ValueError(f"not an integer or p/q: {token!r}")
+    num, den = match.groups(default="1")
+    if int(den) == 0:
+        raise ValueError(f"denominator must be positive in {token!r}")
+    return Fraction(int(num), int(den))
 
 
 def parse_points(text: str) -> PointSet:

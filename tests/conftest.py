@@ -1,19 +1,34 @@
-"""Shared test fixtures: a brute-force oracle and the audit corpus.
+"""Shared test fixtures: a brute-force oracle, the audit corpus, and the
+import path for CLI subprocesses.
 
 The oracle recomputes every statistic from scratch in O(n^3): for each
 point pair it collects all points collinear with the pair (via an inline
 cross-product, independent of the library's canonical-line machinery) and
 deduplicates lines as frozen index sets. Tests treat its output as ground
-truth for the hash-grouping implementation.
+truth for the library's direction kernel.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pointline import GeneratorSpec, PointSet, generate
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def cli_imports_this_checkout():
+    """CLI tests spawn `python -m pointline`; put src on its import path too."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        yield
 
 
 def oracle_arrangement(coords) -> dict:

@@ -271,3 +271,47 @@ def test_json_reruns_are_byte_identical(tmp_path):
         assert first.stdout == second.stdout
         assert first.stdout.endswith("\n")
         json.loads(first.stdout)  # well-formed
+
+
+def test_verify_bad_cutoff_and_eps_exit_5(tmp_path):
+    path = write_grid(tmp_path)
+    for flags in (("--c", "7"), ("--eps", "3/5")):
+        proc = run_cli("verify", path, "--check", "proof-trace", *flags)
+        assert proc.returncode == 5, flags
+        assert proc.stderr.strip()
+
+
+def test_verify_bad_alpha_or_beta_exit_5(tmp_path):
+    path = write_grid(tmp_path)
+    for flag in ("--alpha=-1/2", "--beta=0"):
+        proc = run_cli("verify", path, flag)
+        assert proc.returncode == 5, flag
+        assert proc.stderr.strip()
+
+
+def test_nonpositive_tail_width_exit_5(tmp_path):
+    path = write_grid(tmp_path, side=5)
+    for args in (("verify", path, "--check", "proof-trace", "--eps", "1/4"),
+                 ("constants", "--c", "71", "--mode", "dirac"),
+                 ("constants", "--mode", "beck", "--optimize", "--c-min", "60",
+                  "--c-max", "61")):
+        proc = run_cli(*args, "--tail-width", "0")
+        assert proc.returncode == 5, args
+        assert "width bound must be positive" in proc.stderr
+
+
+def test_verify_runs_the_kernel_once(tmp_path, monkeypatch, capsys):
+    from pointline import cli, geometry
+
+    calls = []
+    kernel = geometry.direction_classes
+
+    def counting(pts):
+        calls.append(len(pts))
+        return kernel(pts)
+
+    monkeypatch.setattr(geometry, "direction_classes", counting)
+    assert cli.main(["verify", write_grid(tmp_path, side=4), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert [c["name"] for c in payload["checks"]][4] == "main"
+    assert calls == [16]

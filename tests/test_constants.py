@@ -40,6 +40,16 @@ def test_x_is_half_h_plus_one():
         assert x_of(c) == (h_of(c) + 1) / 2
 
 
+def test_x_of_matches_brute_force_branch_maximum():
+    # x_of evaluates the convex inner branch only at i = 5 and i = c; a
+    # loop over every i must find the same maximum and the same X
+    for c in range(8, 301):
+        h = h_of(c)
+        inner = max(Fraction(i - 1, 2) - 2 * h + 9 * h / i for i in range(5, c + 1))
+        assert inner == max(Fraction(i - 1, 2) - 2 * h + 9 * h / i for i in (5, c))
+        assert x_of(c) == max((h + 1) / 2, (h + 4) / 4, Fraction(3, 2), inner)
+
+
 def test_tail_enclosure_contains_truth():
     t = tail_sum(2, Fraction(1, 10**5))
     assert t.lo < t.hi

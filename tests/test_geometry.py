@@ -233,3 +233,48 @@ def test_oracle_equivalence_rational_coords():
         coords = sorted(seen)
         st = compute_arrangement(PointSet.from_coords(coords))
         assert stats_as_dict(st) == oracle_arrangement(coords)
+
+
+def test_oracle_equivalence_negative_mixed_denominators():
+    # negative coordinates over several denominators, in shuffled order so
+    # that later points lie on both sides of earlier ones along a line
+    rnd = random.Random(6143)
+    for _ in range(40):
+        seen = set()
+        while len(seen) < 9:
+            seen.add((Fraction(rnd.randint(-6, 6), rnd.choice((1, 2, 3))),
+                      Fraction(rnd.randint(-6, 6), rnd.choice((1, 2, 4)))))
+        coords = list(seen)
+        rnd.shuffle(coords)
+        st = compute_arrangement(PointSet.from_coords(coords))
+        assert stats_as_dict(st) == oracle_arrangement(coords)
+
+
+def test_unit_circle_points_with_distinct_denominators():
+    # ((1-t^2)/(1+t^2), 2t/(1+t^2)): no three points of a circle are
+    # collinear, and each point has its own denominator
+    def circle(n):
+        return [(Fraction(1 - t * t, 1 + t * t), Fraction(2 * t, 1 + t * t))
+                for t in range(1, n + 1)]
+
+    coords = circle(9)
+    assert stats_as_dict(compute_arrangement(PointSet.from_coords(coords))) == (
+        oracle_arrangement(coords))
+    n = 60
+    st = compute_arrangement(PointSet.from_coords(circle(n)))
+    assert st.s == {2: math.comb(n, 2)}
+    assert (st.l_max, st.dirac_degree, st.dirac_witness) == (2, n - 1, 0)
+
+
+def test_affine_image_of_grid_keeps_stats():
+    # an invertible rational affine map preserves every collinear triple,
+    # so the stats, witness included, equal those of the preimage
+    a, b, c, d = Fraction(3, 7), Fraction(-2, 5), Fraction(1, 3), Fraction(5, 4)
+    e, f = Fraction(-11, 6), Fraction(2, 9)
+    assert a * d - b * c != 0
+    pre = [(x, y) for x in range(7) for y in range(6)]
+    random.Random(12).shuffle(pre)
+    image = [(a * x + b * y + e, c * x + d * y + f) for x, y in pre]
+    base = compute_arrangement(PointSet.from_coords(pre))
+    assert compute_arrangement(PointSet.from_coords(image)) == base
+    assert stats_as_dict(base) == oracle_arrangement(pre)

@@ -37,6 +37,13 @@ def test_parse_rational_token():
         parse_rational("1/-2")
     with pytest.raises(ValueError):
         parse_rational("2.5")
+    assert parse_rational("+3") == 3
+    assert parse_rational(" -0/5 ") == 0
+    # only ASCII digits, an optional sign on the numerator and one slash
+    for token in ("1_0", "\u0663", "1/\u0663", "\uff11", "0x10", "1/+2", "--1",
+                  "", "1/", "/2", "1 / 2", "1/2/3", "1e3"):
+        with pytest.raises(ValueError):
+            parse_rational(token)
 
 
 def test_parse_errors_carry_line_numbers():
