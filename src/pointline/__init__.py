@@ -19,6 +19,7 @@ from .constants import (
     PipelineParams,
     beck_constant,
     beck_constant_from,
+    best_cutoff,
     delta_of,
     h_of,
     optimize_c,

@@ -39,6 +39,7 @@ from .constants import (
     Interval,
     PipelineParams,
     beck_constant_from,
+    best_cutoff,
     delta_of,
     solve_fixed_point,
     sweep_fixed_points,
@@ -366,17 +367,9 @@ def _constants_optimize(args, params) -> int:
         entries = list(
             sweep_fixed_points(args.c_min, args.c_max, params, args.mode, args.tail_width)
         )
-    except (BadCutoff, BadEps, ValueError) as exc:
+        best_c, (best_eps, best_delta) = best_cutoff(entries)
+    except (BadCutoff, NoSolution, ValueError) as exc:
         raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-    best = None
-    for c, eps, delta in entries:
-        if delta is not None and (best is None or delta.lo > best[2].lo):
-            best = (c, eps, delta)
-    if best is None:
-        raise _CliFailure(
-            EXIT_DOMAIN, f"no cutoff in {args.c_min}..{args.c_max} admits a fixed point"
-        )
-    best_c, best_eps, best_delta = best
     payload = _constants_payload_common(args) | {
         "mode": args.mode,
         "c_min": args.c_min,

@@ -8,28 +8,24 @@ certified interval for the incidence coefficient
 with h = c(c-2)/(5c-18), Y = c - h - 2 and T(c) = sum_{i>=c} (i+1)/i^3.
 
 Every quantity except T(c) is an exact rational. T(c) is irrational, so it
-is enclosed two-sided: an exact partial sum up to a cutoff N, plus an
-integral-comparison remainder bracket
-
-    1/N + 1/(2N^2)  <=  sum_{i>=N} (i+1)/i^3  <=  1/(N-1) + 1/(2(N-1)^2).
-
-Partial sums accumulate as directed-rounded integers scaled by 2^96
-(numerator floor for the lower end, ceiling for the upper), which keeps
-denominators bounded; the per-term rounding slack is charged to the
-interval width. Lower bounds reported by this module therefore hold
-unconditionally; no floating point is used anywhere.
+is enclosed two-sided: an exact partial sum up to N = max(c, 32), plus the
+Euler-Maclaurin expansion of the remainder sum_{i>=N} f(i) for
+f(x) = x^-2 + x^-3. f is completely monotone, so the expansion cut after
+m terms and after m+1 terms brackets the remainder (see tail_sum). Both
+ends are exact rationals; lower bounds reported by this module therefore
+hold unconditionally, and no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from functools import cache
+from itertools import count
+from math import comb
+from typing import Iterable, Iterator
 
 from .errors import BadCutoff, BadEps, ClaimViolated, NoSolution
-
-SCALE_BITS = 96
-_SCALE = 1 << SCALE_BITS
 
 # Default two-sided width for tail enclosures. Tight enough that the
 # certified fixed points keep their documented margins with room to spare.
@@ -128,38 +124,64 @@ def x_of(c: int) -> Fraction:
     return lead
 
 
-def _remainder_bracket(n: int) -> tuple[Fraction, Fraction]:
-    """Integral-comparison bounds for sum_{i>=n} (i+1)/i^3, n >= 3."""
-    lo = Fraction(1, n) + Fraction(1, 2 * n * n)
-    hi = Fraction(1, n - 1) + Fraction(1, 2 * (n - 1) * (n - 1))
-    return lo, hi
+def _term(i: int) -> Fraction:
+    """f(i) = (i+1)/i^3 = i^-2 + i^-3, the summand of T(c)."""
+    return Fraction(i + 1, i**3)
+
+
+@cache
+def _bernoulli(k: int) -> Fraction:
+    """B_{2k} for k >= 1, from sum_{j=0}^{2k} C(2k+1, j) B_j = 0 with B_1 = -1/2."""
+    acc = sum((comb(2 * k + 1, 2 * i) * _bernoulli(i) for i in range(1, k)), Fraction(0))
+    return (Fraction(2 * k - 1, 2) - acc) / (2 * k + 1)
+
+
+def _em_term(k: int, n: int) -> Fraction:
+    """-B_{2k}/(2k)! * f^(2k-1)(n) = B_{2k} * (n^-(2k+1) + (2k+1)/2 * n^-(2k+2))."""
+    return _bernoulli(k) * Fraction(2 * n + 2 * k + 1, 2 * n ** (2 * k + 2))
 
 
 def tail_sum(c: int, width_bound: Fraction = DEFAULT_TAIL_WIDTH) -> Interval:
-    """Two-sided enclosure of T(c) = sum_{i>=c} (i+1)/i^3 with width <= width_bound."""
+    """Two-sided enclosure of T(c) = sum_{i>=c} (i+1)/i^3 with width <= width_bound.
+
+    With n = max(c, 32) and t_k the k-th Euler-Maclaurin term at n (see
+    _em_term),
+
+        S_m = sum_{c<=i<n} f(i) + (1/n + 1/(2n^2)) + f(n)/2 + t_1 + ... + t_m,
+
+    where 1/n + 1/(2n^2) is the integral of f over [n, inf). The result is
+    [S_m, S_{m+1}], ordered, for the first m whose omitted term t_{m+1} is
+    at most width_bound. If the terms start to grow before that (they do
+    once 2k exceeds about 2*pi*n), n is doubled.
+
+    Proof that T(c) lies in [S_m, S_{m+1}]: f(x) = x^-2 + x^-3 is completely
+    monotone, (-1)^j f^(j)(x) > 0 for x > 0 and every j, so f^(2m+2) and
+    f^(2m+4) are nonnegative on [n, b] for every b > n. By the
+    Euler-Maclaurin remainder theorem (Graham-Knuth-Patashnik, Concrete
+    Mathematics, section 9.5) the remainder of sum_{n<=i<b} f(i) after the
+    B_{2m} term (after the f(n)/2 term when m = 0) is then theta times the
+    B_{2m+2} term, for some theta in [0, 1]. As b grows, f and all its
+    derivatives at b tend to 0, so in the limit T(c) - S_m lies between 0
+    and t_{m+1}. Every term is an exact rational, so no rounding enters.
+    """
     if c < 2:
         raise ValueError(f"tail cutoff must be >= 2, got {c}")
     width_bound = Fraction(width_bound)
     if width_bound <= 0:
         raise ValueError(f"width bound must be positive, got {width_bound}")
-    n = max(c + 1, 32)
+    n = max(c, 32)
     while True:
-        rem_lo, rem_hi = _remainder_bracket(n)
-        # One unit of scaled rounding slack per term and side.
-        slack = Fraction(2 * (n - c), _SCALE)
-        if rem_hi - rem_lo + slack <= width_bound:
-            break
+        s = sum((_term(i) for i in range(c, n)), Fraction(0))
+        s += Fraction(1, n) + Fraction(1, 2 * n * n) + _term(n) / 2
+        prev = None
+        for k in count(1):
+            t = _em_term(k, n)
+            if abs(t) <= width_bound:
+                return Interval(*sorted((s, s + t)))
+            if prev is not None and abs(t) >= abs(prev):
+                break
+            s, prev = s + t, t
         n *= 2
-    lo_acc = 0
-    hi_acc = 0
-    for i in range(c, n):
-        num = (i + 1) << SCALE_BITS
-        den = i * i * i
-        q, r = divmod(num, den)
-        lo_acc += q
-        hi_acc += q + (1 if r else 0)
-    rem_lo, rem_hi = _remainder_bracket(n)
-    return Interval(Fraction(lo_acc, _SCALE) + rem_lo, Fraction(hi_acc, _SCALE) + rem_hi)
 
 
 def _mid_term(c: int, h: Fraction) -> Fraction:
@@ -208,18 +230,24 @@ def _lam(mode: str) -> Fraction:
     return Fraction(1) if mode == "dirac" else Fraction(2, 3)
 
 
-def _solve_with_tail(
-    c: int, params: PipelineParams, mode: str, tail: Interval
+def solve_fixed_point(
+    c: int,
+    params: PipelineParams | None = None,
+    mode: str = "dirac",
+    tail_width: Fraction = DEFAULT_TAIL_WIDTH,
 ) -> tuple[Fraction, Interval]:
-    """Solve eps = lam * delta(eps) against the conservative end of the tail.
+    """Certified fixed point: mode "dirac" solves eps = delta(eps), mode
+    "beck" solves eps = (2/3) * delta(eps). Returns (eps, delta interval).
 
     delta(eps) is affine in eps, so the fixed point has the closed form
     eps = lam*B*(1 - (beta/2)*C) / (1 + lam*alpha*B) with B = 1/(h+1) and
     C = mid + tail. Using tail.hi makes eps the exact fixed point of the
     certified lower bound: delta.lo == eps / lam identically.
     """
+    params = params or PipelineParams()
     lam = _lam(mode)
     h = h_of(c)
+    tail = tail_sum(c, tail_width)
     b = 1 / (h + 1)
     mid = _mid_term(c, h)
     half_beta = params.beta / 2
@@ -234,30 +262,6 @@ def _solve_with_tail(
     return eps, Interval(delta_lo, delta_hi)
 
 
-def solve_fixed_point(
-    c: int,
-    params: PipelineParams | None = None,
-    mode: str = "dirac",
-    tail_width: Fraction = DEFAULT_TAIL_WIDTH,
-) -> tuple[Fraction, Interval]:
-    """Certified fixed point: mode "dirac" solves eps = delta(eps), mode
-    "beck" solves eps = (2/3) * delta(eps). Returns (eps, delta interval)."""
-    params = params or PipelineParams()
-    _lam(mode)
-    if c < 8:
-        raise BadCutoff(f"cutoff must be >= 8, got {c}")
-    tail = tail_sum(c, tail_width)
-    return _solve_with_tail(c, params, mode, tail)
-
-
-def _quantize_down(f: Fraction) -> Fraction:
-    return Fraction((f.numerator * _SCALE) // f.denominator, _SCALE)
-
-
-def _quantize_up(f: Fraction) -> Fraction:
-    return Fraction(-((-f.numerator * _SCALE) // f.denominator), _SCALE)
-
-
 def sweep_fixed_points(
     c_min: int,
     c_max: int,
@@ -265,29 +269,36 @@ def sweep_fixed_points(
     mode: str = "dirac",
     tail_width: Fraction = DEFAULT_TAIL_WIDTH,
 ) -> Iterator[tuple[int, Fraction | None, Interval | None]]:
-    """Yield (c, eps, delta) over c_min..c_max; (c, None, None) where no
-    positive fixed point exists.
+    """Yield (c, eps, delta) = (c, *solve_fixed_point(c, ...)) over
+    c_min..c_max; (c, None, None) where no positive fixed point exists.
 
-    The tail enclosure is computed once at c_min and advanced by exact
-    term subtraction, T(c+1) = T(c) - (c+1)/c^3, then re-quantized to the
-    2^-96 grid so denominators stay bounded. Each step widens the
-    enclosure by at most 2^-95, negligible against the width bound.
+    Each cutoff gets its own tail bracket, so every row equals the direct
+    solve at that cutoff exactly.
     """
-    params = params or PipelineParams()
-    _lam(mode)
     if not 8 <= c_min <= c_max:
         raise BadCutoff(f"need 8 <= c_min <= c_max, got {c_min}..{c_max}")
-    tail = tail_sum(c_min, tail_width)
     for c in range(c_min, c_max + 1):
         try:
-            eps, delta = _solve_with_tail(c, params, mode, tail)
+            eps, delta = solve_fixed_point(c, params, mode, tail_width)
         except NoSolution:
             yield c, None, None
         else:
             yield c, eps, delta
-        if c < c_max:
-            term = Fraction(c + 1, c**3)
-            tail = Interval(_quantize_down(tail.lo - term), _quantize_up(tail.hi - term))
+
+
+def best_cutoff(
+    rows: Iterable[tuple[int, Fraction | None, Interval | None]],
+) -> tuple[int, tuple[Fraction, Interval]]:
+    """The row of a sweep_fixed_points sweep with the largest delta.lo;
+    ties go to the smaller c. Raises NoSolution if no row has a fixed point."""
+    rows = list(rows)
+    solved = [row for row in rows if row[2] is not None]
+    if not solved:
+        raise NoSolution(
+            f"no cutoff in {rows[0][0]}..{rows[-1][0]} admits a positive fixed point"
+        )
+    c, eps, delta = max(solved, key=lambda row: row[2].lo)
+    return c, (eps, delta)
 
 
 def optimize_c(
@@ -298,15 +309,7 @@ def optimize_c(
     tail_width: Fraction = DEFAULT_TAIL_WIDTH,
 ) -> tuple[int, tuple[Fraction, Interval]]:
     """Exhaustive sweep maximizing delta.lo; ties go to the smaller c."""
-    best: tuple[int, Fraction, Interval] | None = None
-    for c, eps, delta in sweep_fixed_points(c_min, c_max, params, mode, tail_width):
-        if eps is None or delta is None:
-            continue
-        if best is None or delta.lo > best[2].lo:
-            best = (c, eps, delta)
-    if best is None:
-        raise NoSolution(f"no cutoff in {c_min}..{c_max} admits a positive fixed point")
-    return best[0], (best[1], best[2])
+    return best_cutoff(sweep_fixed_points(c_min, c_max, params, mode, tail_width))
 
 
 def beck_constant_from(eps: Fraction, delta: Interval) -> Interval:

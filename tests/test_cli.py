@@ -189,6 +189,33 @@ def test_constants_optimize():
     assert all(row["delta_lo"] is not None for row in payload["sweep"])
 
 
+def test_constants_optimize_empty_sweep_exit_5():
+    proc = run_cli("constants", "--mode", "dirac", "--optimize",
+                   "--c-min", "8", "--c-max", "27")
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert proc.stderr == "no cutoff in 8..27 admits a positive fixed point\n"
+    proc = run_cli("constants", "--mode", "dirac", "--optimize",
+                   "--c-min", "7", "--c-max", "27")
+    assert proc.returncode == 5
+    assert proc.stderr.strip()
+
+
+def test_constants_tiny_tail_width_finishes():
+    width = Fraction(1, 10**20)
+    proc = run_cli("constants", "--c", "71", "--mode", "dirac",
+                   "--tail-width", str(width), "--json", timeout=60)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)["payload"]
+    assert payload["tail_width"] == str(width)
+    delta_lo = Fraction(payload["delta"]["lo"])
+    delta_hi = Fraction(payload["delta"]["hi"])
+    h = Fraction(71 * 69, 5 * 71 - 18)
+    beta = Fraction(31827, 1024)
+    assert delta_hi - delta_lo <= beta / (2 * (h + 1)) * width
+    assert delta_lo >= Fraction(1000, 36158)
+
+
 def test_constants_optimize_beck():
     proc = run_cli("constants", "--mode", "beck", "--optimize",
                    "--c-min", "60", "--c-max", "80", "--json")

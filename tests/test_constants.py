@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -24,6 +25,25 @@ from pointline import (
 # enclosure: tail_sum(2) certifies sum_{i>=2} (i+1)/i^3, which is this
 # constant minus the i=1 term (= 2).
 ZETA_2_PLUS_3 = Fraction("2.8469909700078207")
+
+
+def zeta_tail_oracle(terms=220):
+    """Bracket of T(2) = zeta(2) + zeta(3) - 2 from central-binomial series.
+
+    zeta(2) = 3 * sum_{k>=1} 1/(k^2 C(2k,k)): term ratios are below 1/4, so
+    the tail after `terms` terms is at most 4/3 of the next term.
+    zeta(3) = (5/2) * sum_{k>=1} (-1)^(k+1)/(k^3 C(2k,k)) (Apery): the terms
+    alternate and shrink, so consecutive partial sums bracket it.
+    With 220 terms the bracket is about 2e-136 wide.
+    """
+    z2 = sum(Fraction(1, k * k * comb(2 * k, k)) for k in range(1, terms + 1))
+    z2_next = Fraction(1, (terms + 1) ** 2 * comb(2 * terms + 2, terms + 1))
+    z3 = sum(Fraction((-1) ** (k + 1), k**3 * comb(2 * k, k)) for k in range(1, terms + 1))
+    z3_next = Fraction((-1) ** terms, (terms + 1) ** 3 * comb(2 * terms + 2, terms + 1))
+    z3_lo, z3_hi = sorted((z3, z3 + z3_next))
+    lo = 3 * z2 + Fraction(5, 2) * z3_lo - 2
+    hi = 3 * (z2 + Fraction(4, 3) * z2_next) + Fraction(5, 2) * z3_hi - 2
+    return lo, hi
 
 
 def test_h_of():
@@ -58,10 +78,24 @@ def test_tail_enclosure_contains_truth():
 
 
 def test_tail_width_request_honored():
-    for width in (Fraction(1, 1000), Fraction(1, 10**9)):
-        t = tail_sum(71, width)
-        assert t.hi - t.lo <= width
-        assert 0 < t.lo
+    for c in (71, 400000):
+        for width in (Fraction(1, 1000), Fraction(1, 10**9), Fraction(1, 10**20),
+                      Fraction(1, 10**60), Fraction(1, 10**100)):
+            t = tail_sum(c, width)
+            assert t.hi - t.lo <= width
+            assert 0 < t.lo
+
+
+def test_tail_against_zeta_oracle():
+    oracle_lo, oracle_hi = zeta_tail_oracle()
+    assert oracle_hi - oracle_lo < Fraction(1, 10**135)
+    for c in (2, 8, 31, 32, 71):
+        head = sum((Fraction(i + 1, i**3) for i in range(2, c)), Fraction(0))
+        lo, hi = oracle_lo - head, oracle_hi - head
+        for k in (5, 20, 60):
+            t = tail_sum(c, Fraction(1, 10**k))
+            assert t.hi - t.lo <= Fraction(1, 10**k), (c, k)
+            assert max(t.lo, lo) <= min(t.hi, hi), (c, k)
 
 
 def test_tail_against_plain_fraction_oracle():
@@ -164,11 +198,7 @@ def test_sweep_matches_direct_solve():
     for c, eps, delta in sweep_fixed_points(66, 72, mode="dirac"):
         rows[c] = (eps, delta)
     for c in range(66, 73):
-        eps, delta = rows[c]
-        d_eps, d_delta = solve_fixed_point(c, mode="dirac")
-        # the incremental tail is re-quantized, so agreement is near-exact
-        assert abs(delta.lo - d_delta.lo) <= Fraction(1, 10**8)
-        assert abs(eps - d_eps) <= Fraction(1, 10**8)
+        assert rows[c] == solve_fixed_point(c, mode="dirac")
 
 
 def test_sweep_reports_no_solution_rows():
