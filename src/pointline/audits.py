@@ -12,12 +12,12 @@ and the top-level lhs/rhs/slack are copied from the tightest part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
 
-from .constants import DEFAULT_TAIL_WIDTH, PipelineParams, h_of, tail_sum, x_of
-from .errors import BadCutoff, BadEps, PreconditionViolated
+from .constants import DEFAULT_TAIL_WIDTH, PipelineParams, delta_of
+from .errors import PreconditionViolated
 from .geometry import ArrangementStats, require_noncollinear, subgraph_edge_count
 
 
@@ -232,22 +232,17 @@ def audit_proof_steps(
 
     All comparisons are exact rationals except (3), which substitutes the
     certified upper end of the tail enclosure for T(c): a true instance
-    can only gain slack from that, never flip verdict.
+    can only gain slack from that, never flip verdict. h, X, Y(c+1)/c^3 and
+    T(c) come from delta_of, which validates c, eps and tail_width first.
     """
     params = params or PipelineParams()
-    eps = Fraction(eps)
-    if c < 8:
-        raise BadCutoff(f"cutoff must be >= 8, got {c}")
-    if not 0 < eps < Fraction(1, 2):
-        raise BadEps(f"eps must lie in (0, 1/2), got {eps}")
+    bd = delta_of(c, eps, params, tail_width)
+    h, x, eps = bd.h, bd.x, bd.eps
     n = stats.n
     if stats.l_max > eps * n:
         raise PreconditionViolated(
             f"l_max = {stats.l_max} exceeds eps*n = {eps * n}"
         )
-    h = h_of(c)
-    x = x_of(c)
-    y = Fraction(c) - h - 2
     j_hi = floor(eps * n)
 
     k = j_hi + 1
@@ -295,11 +290,10 @@ def audit_proof_steps(
     else:
         step2 = _le("medium-lines", Fraction(0), Fraction(0), note="no medium levels")
 
-    tail = tail_sum(c, tail_width)
     step3 = _le(
         "medium-pairs",
         medium_p - x * medium_i,
-        params.beta * n * n / 4 * (y * (c + 1) / Fraction(c**3) + tail.hi),
+        params.beta * n * n / 4 * (bd.mid_term + bd.tail.hi),
         note="tail replaced by its certified upper bound",
     )
 

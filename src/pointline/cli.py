@@ -54,7 +54,7 @@ from .errors import (
     PointFormatError,
     PreconditionViolated,
 )
-from .generators import RNG_ALGORITHM, GeneratorSpec, generate, search_min_dirac
+from .generators import KINDS, RNG_ALGORITHM, GeneratorSpec, generate, search_min_dirac
 from .geometry import ArrangementStats, PointSet, compute_arrangement
 from .pointfile import format_points, parse_points, parse_rational
 
@@ -317,16 +317,13 @@ def _constants_payload_common(args) -> dict:
 def _cmd_constants(args) -> int:
     try:
         params = PipelineParams(alpha=args.alpha, beta=args.beta)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-    if args.optimize:
-        if args.mode == "fixed-eps":
-            raise _CliFailure(EXIT_PARSE, "--optimize needs --mode dirac or beck")
-        return _constants_optimize(args, params)
-    if args.c is None:
-        raise _CliFailure(EXIT_PARSE, "--c is required unless --optimize is given")
-    try:
-        if args.mode == "fixed-eps":
+        if args.optimize:
+            if args.mode == "fixed-eps":
+                raise _CliFailure(EXIT_PARSE, "--optimize needs --mode dirac or beck")
+            payload = _constants_optimize(args, params)
+        elif args.c is None:
+            raise _CliFailure(EXIT_PARSE, "--c is required unless --optimize is given")
+        elif args.mode == "fixed-eps":
             if args.eps is None:
                 raise _CliFailure(EXIT_PARSE, "--mode fixed-eps requires --eps")
             bd = delta_of(args.c, args.eps, params, args.tail_width)
@@ -362,14 +359,11 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _constants_optimize(args, params) -> int:
-    try:
-        entries = list(
-            sweep_fixed_points(args.c_min, args.c_max, params, args.mode, args.tail_width)
-        )
-        best_c, (best_eps, best_delta) = best_cutoff(entries)
-    except (BadCutoff, NoSolution, ValueError) as exc:
-        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
+def _constants_optimize(args, params) -> dict:
+    entries = list(
+        sweep_fixed_points(args.c_min, args.c_max, params, args.mode, args.tail_width)
+    )
+    best_c, (best_eps, best_delta) = best_cutoff(entries)
     payload = _constants_payload_common(args) | {
         "mode": args.mode,
         "c_min": args.c_min,
@@ -391,8 +385,7 @@ def _constants_optimize(args, params) -> int:
         payload["best_beck_constant"] = _interval_payload(
             beck_constant_from(best_eps, best_delta)
         )
-    _emit_constants(args, payload)
-    return EXIT_OK
+    return payload
 
 
 def _emit_constants(args, payload) -> None:
@@ -487,6 +480,14 @@ def _cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+    """--alpha, --beta and --tail-width, defaulting to the library's values."""
+    defaults = PipelineParams()
+    p.add_argument("--alpha", type=_rational_flag, default=defaults.alpha)
+    p.add_argument("--beta", type=_rational_flag, default=defaults.beta)
+    p.add_argument("--tail-width", type=_rational_flag, default=DEFAULT_TAIL_WIDTH)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pointline",
@@ -506,9 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--c", type=int, default=8, help="cutoff for proof-trace")
     p_verify.add_argument("--eps", type=_rational_flag, default=Fraction(499, 1000),
                           help="collinearity fraction for proof-trace, as p/q")
-    p_verify.add_argument("--alpha", type=_rational_flag, default=Fraction(103, 16))
-    p_verify.add_argument("--beta", type=_rational_flag, default=Fraction(31827, 1024))
-    p_verify.add_argument("--tail-width", type=_rational_flag, default=DEFAULT_TAIL_WIDTH)
+    _add_pipeline_flags(p_verify)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -516,9 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--c", type=int)
     p_const.add_argument("--mode", choices=("dirac", "beck", "fixed-eps"), required=True)
     p_const.add_argument("--eps", type=_rational_flag, help="eps for --mode fixed-eps")
-    p_const.add_argument("--alpha", type=_rational_flag, default=Fraction(103, 16))
-    p_const.add_argument("--beta", type=_rational_flag, default=Fraction(31827, 1024))
-    p_const.add_argument("--tail-width", type=_rational_flag, default=DEFAULT_TAIL_WIDTH)
+    _add_pipeline_flags(p_const)
     p_const.add_argument("--optimize", action="store_true", help="sweep c-min..c-max")
     p_const.add_argument("--c-min", type=int, default=8)
     p_const.add_argument("--c-max", type=int, default=200)
@@ -526,8 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_const.set_defaults(func=_cmd_constants)
 
     p_gen = sub.add_parser("generate", help="write a configuration as a point file")
-    p_gen.add_argument("kind", choices=("grid", "near_pencil", "collinear", "parabola",
-                                        "random_grid"))
+    p_gen.add_argument("kind", choices=KINDS)
     p_gen.add_argument("sizes", type=int, nargs="+")
     p_gen.add_argument("--extent", type=int)
     p_gen.add_argument("--seed", type=int)

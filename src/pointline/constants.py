@@ -71,17 +71,9 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, value) -> bool:
         v = Fraction(value)
         return self.lo <= v <= self.hi
-
-    def shift(self, delta) -> "Interval":
-        d = Fraction(delta)
-        return Interval(self.lo + d, self.hi + d)
 
 
 @dataclass(frozen=True)
@@ -184,8 +176,22 @@ def tail_sum(c: int, width_bound: Fraction = DEFAULT_TAIL_WIDTH) -> Interval:
         n *= 2
 
 
-def _mid_term(c: int, h: Fraction) -> Fraction:
-    return (Fraction(c) - h - 2) * (c + 1) / Fraction(c**3)
+def _terms(c: int, tail_width: Fraction) -> tuple[Fraction, Fraction, Fraction, Interval]:
+    """h, Y = c - h - 2, the mid-term Y(c+1)/c^3 and the tail bracket at cutoff c."""
+    h = h_of(c)
+    y = c - h - 2
+    return h, y, y * (c + 1) / Fraction(c**3), tail_sum(c, tail_width)
+
+
+def _delta(h: Fraction, mid: Fraction, tail: Interval, eps, params: PipelineParams) -> Interval:
+    """delta = (1/(h+1)) * (1 - eps*alpha - (beta/2)*(mid + T(c))) over the
+    tail bracket. The lower endpoint uses the tail's upper bound and vice
+    versa, so the true delta always lies inside."""
+    lo, hi = (
+        (1 - eps * params.alpha - params.beta / 2 * (mid + t)) / (h + 1)
+        for t in (tail.hi, tail.lo)
+    )
+    return Interval(lo, hi)
 
 
 def delta_of(
@@ -196,31 +202,22 @@ def delta_of(
 ) -> DeltaBreakdown:
     """Certified interval for delta at a fixed eps, with full breakdown.
 
-    The lower endpoint uses the tail's upper bound and vice versa, so the
-    true delta always lies inside the reported interval. The interval may
-    be negative; interpreting it is the caller's concern.
+    The interval may be negative; interpreting it is the caller's concern.
     """
     params = params or PipelineParams()
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
         raise BadEps(f"eps must lie in (0, 1/2), got {eps}")
-    h = h_of(c)
-    x = x_of(c)
-    tail = tail_sum(c, tail_width)
-    mid = _mid_term(c, h)
-    b = 1 / (h + 1)
-    half_beta = params.beta / 2
-    inner_lo = 1 - eps * params.alpha - half_beta * (mid + tail.hi)
-    inner_hi = 1 - eps * params.alpha - half_beta * (mid + tail.lo)
+    h, y, mid, tail = _terms(c, tail_width)
     return DeltaBreakdown(
         c=c,
         h=h,
-        x=x,
-        y=Fraction(c - 1) - 2 * x,
+        x=x_of(c),
+        y=y,
         tail=tail,
         mid_term=mid,
         eps=eps,
-        delta=Interval(b * inner_lo, b * inner_hi),
+        delta=_delta(h, mid, tail, eps, params),
     )
 
 
@@ -246,20 +243,15 @@ def solve_fixed_point(
     """
     params = params or PipelineParams()
     lam = _lam(mode)
-    h = h_of(c)
-    tail = tail_sum(c, tail_width)
-    b = 1 / (h + 1)
-    mid = _mid_term(c, h)
-    half_beta = params.beta / 2
-    base_lo = 1 - half_beta * (mid + tail.hi)
-    if base_lo <= 0:
+    h, _y, mid, tail = _terms(c, tail_width)
+    base = 1 - params.beta / 2 * (mid + tail.hi)
+    if base <= 0:
         raise NoSolution(
             f"no positive fixed point at c={c}: 1 - (beta/2)*(mid + tail) <= 0"
         )
-    eps = lam * b * base_lo / (1 + lam * params.alpha * b)
-    delta_lo = b * (1 - eps * params.alpha - half_beta * (mid + tail.hi))
-    delta_hi = b * (1 - eps * params.alpha - half_beta * (mid + tail.lo))
-    return eps, Interval(delta_lo, delta_hi)
+    b = 1 / (h + 1)
+    eps = lam * b * base / (1 + lam * params.alpha * b)
+    return eps, _delta(h, mid, tail, eps, params)
 
 
 def sweep_fixed_points(

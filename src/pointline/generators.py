@@ -17,6 +17,9 @@ _MASK64 = (1 << 64) - 1
 
 KINDS = ("grid", "near_pencil", "collinear", "parabola", "random_grid")
 
+# Largest point count generate() builds: W*H for a grid, n for every other kind.
+MAX_POINTS = 10**6
+
 RNG_ALGORITHM = "splitmix64"
 
 
@@ -77,10 +80,20 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> PointSet:
-    """Materialize a spec. Deterministic: equal specs give equal point sets."""
+    """Materialize a spec. Deterministic: equal specs give equal point sets.
+
+    Raises GenerationFailed, before building anything, when the spec asks
+    for more than MAX_POINTS points.
+    """
     if spec.kind == "grid":
         if not (spec.width and spec.height and spec.width >= 1 and spec.height >= 1):
             raise ValueError("grid needs width >= 1 and height >= 1")
+        count = spec.width * spec.height
+    else:
+        count = spec.n or 0
+    if count > MAX_POINTS:
+        raise GenerationFailed(f"{count} points requested; the cap is {MAX_POINTS}")
+    if spec.kind == "grid":
         return PointSet.from_coords(
             (x, y) for x in range(spec.width) for y in range(spec.height)
         )
@@ -111,19 +124,21 @@ def _random_grid(n: int, extent: int, seed: int) -> PointSet:
     side = extent + 1
     if n > side * side:
         raise GenerationFailed(f"cannot place {n} distinct points on a {side}x{side} grid")
-    rng = SplitMix64(seed)
-    chosen: list[tuple[int, int]] = []
-    occupied = set()
-    budget = 1000 + 200 * n
-    while len(chosen) < n:
-        if budget == 0:
-            raise GenerationFailed(f"retry budget exhausted at {len(chosen)}/{n} points")
-        budget -= 1
-        cell = (rng.below(side), rng.below(side))
-        if cell not in occupied:
-            occupied.add(cell)
-            chosen.append(cell)
-    return PointSet.from_coords(chosen)
+    cells = _draw_cells(SplitMix64(seed), n, side)
+    if len(cells) < n:
+        raise GenerationFailed(f"retry budget exhausted at {len(cells)}/{n} points")
+    return PointSet.from_coords(cells)
+
+
+def _draw_cells(rng: SplitMix64, n: int, side: int) -> list[tuple[int, int]]:
+    """n distinct cells of the side x side grid in draw order, or fewer if
+    the budget of 1000 + 200n draws runs out first."""
+    cells: dict[tuple[int, int], None] = {}
+    for _ in range(1000 + 200 * n):
+        if len(cells) == n:
+            break
+        cells[(rng.below(side), rng.below(side))] = None
+    return list(cells)
 
 
 def _max_degree(pts: list[tuple[int, int]]) -> int:
@@ -136,15 +151,8 @@ def _sample_start(rng: SplitMix64, n: int, extent: int) -> list[tuple[int, int]]
     """A distinct, non-collinear starting candidate."""
     side = extent + 1
     for _ in range(4096):
-        occupied = set()
-        attempts = 1000 + 200 * n
-        while len(occupied) < n and attempts:
-            attempts -= 1
-            occupied.add((rng.below(side), rng.below(side)))
-        if len(occupied) < n:
-            continue
-        pts = sorted(occupied)
-        if _max_degree(pts) >= 2:
+        pts = sorted(_draw_cells(rng, n, side))
+        if len(pts) == n and _max_degree(pts) >= 2:
             return pts
     raise GenerationFailed("could not sample a non-collinear start")
 

@@ -1,8 +1,10 @@
 """Plain-text point files: one point per line, "x y", exact rationals.
 
 Each coordinate is an integer or "p/q" with q > 0, in ASCII digits with an
-optional sign on the numerator only. Blank lines and lines starting with
-'#' are ignored. The format round-trips exactly.
+optional sign on the numerator only. p and q have at most 4300 digits
+each, CPython's default int-string conversion limit; longer ones raise
+ValueError. Blank lines and lines starting with '#' are ignored. The
+format round-trips exactly.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from pointline import (
     compute_arrangement,
     dirac_degree,
     generate,
+    tail_sum,
 )
 
 
@@ -207,6 +208,35 @@ def test_proof_trace_overlapping_classes():
     assert tr.small_pairs + tr.medium_pairs + tr.large_pairs == math.comb(100, 2)
     assert all(r.holds for r in tr.step_reports)
     assert "priority" in tr.note
+
+
+def test_proof_trace_pins_every_step_with_medium_levels():
+    # 30x30 grid at c = 8, eps = 2/5: k = 11, so line sizes 9 and 10 are
+    # the two medium levels; every step's lhs/rhs is pinned exactly
+    st = stats_of(GeneratorSpec.grid(30, 30))
+    c, n = 8, 900
+    tr = audit_proof_steps(st, c=c, eps=Fraction(2, 5), params=PipelineParams())
+    assert tr.k == 11
+    assert (tr.small_pairs, tr.medium_pairs, tr.large_pairs) == (321888, 22032, 60630)
+    assert (tr.small_incidences, tr.medium_incidences) == (420068, 4988)
+    by_name = {r.name: r for r in tr.step_reports}
+    h = Fraction(c * (c - 2), 5 * c - 18)
+    beta = Fraction(31827, 1024)
+    # X * I_S - h*n = (35/22)*420068 - (24/11)*900
+    assert (by_name["small-pairs"].lhs, by_name["small-pairs"].rhs) == (
+        321888, Fraction(7329590, 11))
+    # tightest at i = 10: sum_{j>=10} j s_j <= beta n^2 i / (2 (i-1)^3)
+    medium_lines = by_name["medium-lines"]
+    assert (medium_lines.lhs, medium_lines.rhs) == (10260, Fraction(33153125, 192))
+    assert medium_lines.note == "tightest of 2 medium levels, at i=10"
+    # medium pairs - X * medium incidences = 22032 - (35/22)*4988
+    medium_pairs = by_name["medium-pairs"]
+    assert medium_pairs.lhs == Fraction(155062, 11)
+    assert medium_pairs.rhs == beta * n * n / 4 * (
+        (c - h - 2) * (c + 1) / Fraction(c**3) + tail_sum(8).hi)
+    # eps * alpha * n^2 / 2 = (2/5)(103/16)(810000)/2
+    assert (by_name["large-pairs"].lhs, by_name["large-pairs"].rhs) == (60630, 1042875)
+    assert all(r.holds and r.preconditions_met for r in tr.step_reports)
 
 
 def test_proof_trace_domain_errors():

@@ -254,8 +254,25 @@ def test_generate_random_grid_deterministic(tmp_path):
 
 
 def test_generate_failure_exit_5():
-    proc = run_cli("generate", "random_grid", "10", "--extent", "2", "--seed", "1")
-    assert proc.returncode == 5
+    for args in (("random_grid", "10", "--extent", "2", "--seed", "1"),
+                 # above the 10^6-point cap: refused before anything is built
+                 ("grid", "100000", "100000")):
+        proc = run_cli("generate", *args, timeout=10)
+        assert proc.returncode == 5, args
+        assert proc.stdout == ""
+
+
+def test_over_4300_digit_numbers_exit_2(tmp_path):
+    # CPython refuses int-string conversions of more than 4300 digits
+    big = "1" + "0" * 4300
+    path = tmp_path / "big.txt"
+    path.write_text(f"{big} 0\n0 1\n")
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 2
+    assert "line 1" in proc.stderr
+    proc = run_cli("constants", "--c", "71", "--mode", "fixed-eps", "--eps", f"1/{big}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
 
 
 def test_generate_bad_arity_exit_2():
@@ -319,6 +336,8 @@ def test_verify_bad_alpha_or_beta_exit_5(tmp_path):
 def test_nonpositive_tail_width_exit_5(tmp_path):
     path = write_grid(tmp_path, side=5)
     for args in (("verify", path, "--check", "proof-trace", "--eps", "1/4"),
+                 # l_max = 5 > eps*n: the trace is skipped, the width still checked
+                 ("verify", path, "--check", "proof-trace", "--eps", "1/12"),
                  ("constants", "--c", "71", "--mode", "dirac"),
                  ("constants", "--mode", "beck", "--optimize", "--c-min", "60",
                   "--c-max", "61")):

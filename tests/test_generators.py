@@ -11,7 +11,7 @@ from pointline import (
     generate,
     search_min_dirac,
 )
-from pointline.generators import RNG_ALGORITHM, SplitMix64
+from pointline.generators import MAX_POINTS, RNG_ALGORITHM, SplitMix64
 
 
 def test_splitmix64_reference_vectors():
@@ -72,6 +72,15 @@ def test_random_grid():
         generate(GeneratorSpec.random_grid(n=10, extent=2, seed=1))
     with pytest.raises(ValueError):
         generate(GeneratorSpec.random_grid(n=0, extent=2, seed=1))
+
+
+def test_generate_caps_the_point_count():
+    assert MAX_POINTS == 10**6
+    for spec in (GeneratorSpec.grid(100000, 100000), GeneratorSpec.grid(1000, 1001),
+                 GeneratorSpec.collinear(MAX_POINTS + 1),
+                 GeneratorSpec.random_grid(MAX_POINTS + 1, 10**4, 1)):
+        with pytest.raises(GenerationFailed, match="cap"):
+            generate(spec)
 
 
 def test_search_tiny():
