@@ -14,6 +14,7 @@ from .audits import (
 )
 from .constants import (
     DEFAULT_TAIL_WIDTH,
+    MIN_TAIL_WIDTH,
     DeltaBreakdown,
     Interval,
     PipelineParams,

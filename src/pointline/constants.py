@@ -31,6 +31,11 @@ from .errors import BadCutoff, BadEps, ClaimViolated, NoSolution
 # certified fixed points keep their documented margins with room to spare.
 DEFAULT_TAIL_WIDTH = Fraction(1, 10**9)
 
+# Narrowest tail width accepted. tail_sum meets it in milliseconds; far
+# narrower widths take seconds to minutes, and their exact endpoints
+# outgrow CPython's 4300-digit limit on printing an integer.
+MIN_TAIL_WIDTH = Fraction(1, 10**100)
+
 MODES = ("dirac", "beck")
 
 
@@ -136,6 +141,9 @@ def _em_term(k: int, n: int) -> Fraction:
 def tail_sum(c: int, width_bound: Fraction = DEFAULT_TAIL_WIDTH) -> Interval:
     """Two-sided enclosure of T(c) = sum_{i>=c} (i+1)/i^3 with width <= width_bound.
 
+    width_bound must lie in [MIN_TAIL_WIDTH, inf); anything else raises
+    ValueError.
+
     With n = max(c, 32) and t_k the k-th Euler-Maclaurin term at n (see
     _em_term),
 
@@ -161,6 +169,8 @@ def tail_sum(c: int, width_bound: Fraction = DEFAULT_TAIL_WIDTH) -> Interval:
     width_bound = Fraction(width_bound)
     if width_bound <= 0:
         raise ValueError(f"width bound must be positive, got {width_bound}")
+    if width_bound < MIN_TAIL_WIDTH:
+        raise ValueError("width bound must be at least 1/10^100")
     n = max(c, 32)
     while True:
         s = sum((_term(i) for i in range(c, n)), Fraction(0))

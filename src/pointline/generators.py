@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import GenerationFailed
 from .geometry import PointSet, direction_classes
@@ -141,19 +142,86 @@ def _draw_cells(rng: SplitMix64, n: int, side: int) -> list[tuple[int, int]]:
     return list(cells)
 
 
-def _max_degree(pts: list[tuple[int, int]]) -> int:
-    """The most determined lines through one point; 1 exactly when n >= 2
-    points are collinear."""
-    return max(len(at_i) for at_i in direction_classes(pts))
+class _Climb:
+    """One restart's configuration with its direction classes kept live.
+
+    classes equals direction_classes(pts) at all times: it is built once,
+    and an accepted move updates it in O(n), so a proposal is scored
+    without recomputing the arrangement. occupied is set(pts).
+    """
+
+    def __init__(self, pts: list[tuple[int, int]]):
+        self.pts = pts
+        self.occupied = set(pts)
+        self.classes = direction_classes(pts)
+        self.degree = max(len(at_j) for at_j in self.classes)
+
+    def score(self, idx: int, cell: tuple[int, int]) -> tuple[int, list]:
+        """The maximum point degree once point idx moves to cell, and the
+        (j, old key, new key) of every other point j for accept(). The
+        state is unchanged.
+
+        A key is the reduced direction from j to the moved point, signed as
+        in direction_classes. When the two keys differ, j loses a line if
+        its old class holds only the moved point and gains one if it has no
+        class for the new key; the moved point lies on one line per
+        distinct new key.
+        """
+        ox, oy = self.pts[idx]
+        cx, cy = cell
+        classes = self.classes
+        degree = 0
+        rekeys = []
+        for j, (px, py) in enumerate(self.pts):
+            if j == idx:
+                continue
+            dx, dy = ox - px, oy - py
+            g = gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            old = (dx // g, dy // g)
+            dx, dy = cx - px, cy - py
+            g = gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            new = (dx // g, dy // g)
+            at_j = classes[j]
+            d = len(at_j)
+            if old != new:
+                d += (new not in at_j) - (at_j[old] == 1)
+            if d > degree:
+                degree = d
+            rekeys.append((j, old, new))
+        return max(degree, len({new for _j, _old, new in rekeys})), rekeys
+
+    def accept(self, idx: int, cell: tuple[int, int], degree: int, rekeys: list) -> None:
+        """Move point idx to cell, given score(idx, cell) == (degree, rekeys)."""
+        at_idx: dict[tuple[int, int], int] = {}
+        for j, old, new in rekeys:
+            at_idx[new] = at_idx.get(new, 0) + 1
+            if old != new:
+                at_j = self.classes[j]
+                if at_j[old] == 1:
+                    del at_j[old]
+                else:
+                    at_j[old] -= 1
+                at_j[new] = at_j.get(new, 0) + 1
+        self.classes[idx] = at_idx
+        self.occupied.remove(self.pts[idx])
+        self.occupied.add(cell)
+        self.pts[idx] = cell
+        self.degree = degree
 
 
-def _sample_start(rng: SplitMix64, n: int, extent: int) -> list[tuple[int, int]]:
-    """A distinct, non-collinear starting candidate."""
+def _sample_start(rng: SplitMix64, n: int, extent: int) -> _Climb:
+    """A distinct, non-collinear starting configuration."""
     side = extent + 1
     for _ in range(4096):
         pts = sorted(_draw_cells(rng, n, side))
-        if len(pts) == n and _max_degree(pts) >= 2:
-            return pts
+        if len(pts) == n:
+            climb = _Climb(pts)
+            if climb.degree >= 2:
+                return climb
     raise GenerationFailed("could not sample a non-collinear start")
 
 
@@ -177,6 +245,13 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
     iterations//10 steps with the stream reseeded to seed XOR restart
     index, so the outcome does not depend on scheduling; the best restart
     wins, ties to the lowest restart index. ratio reports degree / (n/2).
+
+    A restart computes its start's direction classes once; a proposal is
+    then scored in O(n) from them (see _Climb.score): only lines through
+    the moved point's old or new cell can change, so each other point's
+    degree moves by at most one either way, and the moved point's degree
+    is its number of distinct directions to the others. The classes are
+    updated only when a move is accepted.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -196,27 +271,24 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
     while consumed < iterations:
         budget = min(restart_len, iterations - consumed)
         rng = SplitMix64(seed ^ restart)
-        pts = _sample_start(rng, n, extent)
-        deg = _max_degree(pts)
+        climb = _sample_start(rng, n, extent)
         for _ in range(budget):
             for _attempt in range(64):
                 idx = rng.below(n)
                 cell = (rng.below(side), rng.below(side))
-                if cell == pts[idx]:
+                if cell == climb.pts[idx]:
                     break  # moving onto itself: valid no-op proposal
-                if cell in pts:
+                if cell in climb.occupied:
                     continue
-                candidate = list(pts)
-                candidate[idx] = cell
-                cand_deg = _max_degree(candidate)
+                cand_deg, rekeys = climb.score(idx, cell)
                 if cand_deg < 2:
                     continue  # collinear candidates are rejected
-                if cand_deg <= deg:
-                    pts, deg = candidate, cand_deg
+                if cand_deg <= climb.degree:
+                    climb.accept(idx, cell, cand_deg, rekeys)
                 break
         consumed += budget
-        if best_pts is None or deg < best_deg:
-            best_pts, best_deg = pts, deg
+        if best_pts is None or climb.degree < best_deg:
+            best_pts, best_deg = climb.pts, climb.degree
         restart += 1
 
     return SearchResult(

@@ -1,25 +1,54 @@
-"""Shared test fixtures: a brute-force oracle, the audit corpus, and the
-import path for CLI subprocesses.
+"""Shared test fixtures: a brute-force oracle, a reference hill climb, the
+audit corpus, and the import path for CLI subprocesses.
 
 The oracle recomputes every statistic from scratch in O(n^3): for each
 point pair it collects all points collinear with the pair (via an inline
 cross-product, independent of the library's canonical-line machinery) and
 deduplicates lines as frozen index sets. Tests treat its output as ground
 truth for the library's direction kernel.
+
+The reference climb is search_min_dirac written the direct way: every
+proposal builds the full candidate list and recomputes all its direction
+classes. Tests treat it as ground truth for the incremental climb.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pointline import GeneratorSpec, PointSet, generate
+from pointline.generators import SplitMix64, _draw_cells
+from pointline.geometry import direction_classes
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    """Hypothesis caches the literals of the package's source in its home
+    directory, ./.hypothesis by default, while pytest collects; send that to
+    a temporary directory so a test run leaves nothing in the checkout."""
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    home = tempfile.mkdtemp(prefix="pointline-hypothesis-")
+    config.stash[_HYPOTHESIS_HOME] = home
+    set_hypothesis_home_dir(home)
+
+
+def pytest_unconfigure(config):
+    home = config.stash.get(_HYPOTHESIS_HOME, None)
+    if home is not None:
+        shutil.rmtree(home, ignore_errors=True)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -64,6 +93,51 @@ def oracle_arrangement(coords) -> dict:
         "dirac_degree": degree,
         "dirac_witness": witness,
     }
+
+
+def _max_degree(pts) -> int:
+    return max(len(at_i) for at_i in direction_classes(pts))
+
+
+def reference_climb(n: int, extent: int, iterations: int, seed: int):
+    """(degree, iterations run, points) of search_min_dirac's climb, with an
+    O(n^2) recompute per proposal. Expects arguments search_min_dirac
+    accepts."""
+    side = extent + 1
+    restart_len = max(1, iterations // 10)
+    best_pts, best_deg = None, 0
+    consumed = restart = 0
+    while consumed < iterations:
+        budget = min(restart_len, iterations - consumed)
+        rng = SplitMix64(seed ^ restart)
+        for _ in range(4096):
+            pts = sorted(_draw_cells(rng, n, side))
+            if len(pts) == n and _max_degree(pts) >= 2:
+                break
+        else:
+            raise AssertionError("no non-collinear start")
+        deg = _max_degree(pts)
+        for _ in range(budget):
+            for _attempt in range(64):
+                idx = rng.below(n)
+                cell = (rng.below(side), rng.below(side))
+                if cell == pts[idx]:
+                    break
+                if cell in pts:
+                    continue
+                candidate = list(pts)
+                candidate[idx] = cell
+                cand_deg = _max_degree(candidate)
+                if cand_deg < 2:
+                    continue
+                if cand_deg <= deg:
+                    pts, deg = candidate, cand_deg
+                break
+        consumed += budget
+        if best_pts is None or deg < best_deg:
+            best_pts, best_deg = pts, deg
+        restart += 1
+    return best_deg, consumed, best_pts
 
 
 def stats_as_dict(stats) -> dict:

@@ -346,6 +346,21 @@ def test_nonpositive_tail_width_exit_5(tmp_path):
         assert "width bound must be positive" in proc.stderr
 
 
+def test_tail_width_below_floor_exit_5(tmp_path):
+    # far narrower widths take seconds and outgrow the 4300-digit print limit
+    parabola = tmp_path / "parabola.txt"
+    parabola.write_text("".join(f"{x} {x * x}\n" for x in range(12)))
+    width = "1/1" + "0" * 101
+    for args in (("verify", str(parabola), "--check", "proof-trace", "--eps", "1/4"),
+                 ("constants", "--c", "71", "--mode", "dirac"),
+                 ("constants", "--mode", "beck", "--optimize", "--c-min", "60",
+                  "--c-max", "61")):
+        proc = run_cli(*args, "--tail-width", width, "--json", timeout=10)
+        assert proc.returncode == 5, args
+        assert proc.stdout == ""
+        assert "at least 1/10^100" in proc.stderr
+
+
 def test_verify_runs_the_kernel_once(tmp_path, monkeypatch, capsys):
     from pointline import cli, geometry
 

@@ -7,6 +7,7 @@ from pointline import (
     BadCutoff,
     BadEps,
     DEFAULT_TAIL_WIDTH,
+    MIN_TAIL_WIDTH,
     Interval,
     NoSolution,
     PipelineParams,
@@ -84,6 +85,16 @@ def test_tail_width_request_honored():
             t = tail_sum(c, width)
             assert t.hi - t.lo <= width
             assert 0 < t.lo
+
+
+def test_tail_width_floor():
+    assert MIN_TAIL_WIDTH == Fraction(1, 10**100)
+    narrow = Fraction(1, 10**101)
+    for call in (lambda: tail_sum(71, narrow),
+                 lambda: delta_of(71, Fraction(1, 37), tail_width=narrow),
+                 lambda: solve_fixed_point(71, tail_width=narrow)):
+        with pytest.raises(ValueError, match="at least 1/10\\^100"):
+            call()
 
 
 def test_tail_against_zeta_oracle():

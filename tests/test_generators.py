@@ -1,7 +1,11 @@
+import hashlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from conftest import reference_climb
 from pointline import (
     GenerationFailed,
     GeneratorSpec,
@@ -11,7 +15,9 @@ from pointline import (
     generate,
     search_min_dirac,
 )
+from pointline import generators
 from pointline.generators import MAX_POINTS, RNG_ALGORITHM, SplitMix64
+from pointline.geometry import direction_classes
 
 
 def test_splitmix64_reference_vectors():
@@ -105,6 +111,77 @@ def test_search_golden_run():
     assert res.ratio == Fraction(4, 3)
     assert res.iterations_run == 10**4
     assert res.seed == 42
+
+
+def test_search_golden_run_n40():
+    # pinned from the per-proposal recompute climb, before proposals were
+    # scored incrementally; the bench-sized search must not drift
+    res = search_min_dirac(n=40, extent=30, iterations=500, seed=2024)
+    assert res.degree == 37
+    assert res.ratio == Fraction(37, 20)
+    assert res.iterations_run == 500
+    assert [(p.x, p.y) for p in res.best_set] == [
+        (12, 6), (3, 28), (10, 5), (5, 13), (5, 16), (4, 0), (8, 0), (8, 28),
+        (15, 9), (9, 0), (26, 25), (30, 17), (10, 18), (10, 0), (21, 22),
+        (3, 27), (13, 20), (15, 12), (15, 21), (15, 25), (15, 28), (17, 16),
+        (26, 12), (0, 25), (18, 10), (12, 21), (6, 9), (21, 18), (12, 23),
+        (16, 24), (23, 10), (20, 28), (24, 10), (12, 14), (24, 19), (4, 21),
+        (26, 23), (14, 8), (25, 8), (30, 29)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pointline", "search", "--n", "40", "--extent", "30",
+         "--iters", "500", "--seed", "2024", "--json"],
+        capture_output=True, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "34ebe01bc7f165102505c1be74c9c465d9081dc8e631e623c14452723d6fcce7")
+
+
+@pytest.mark.parametrize("n, extent, iterations, seeds", [
+    (3, 2, 40, (0, 1, 2, 5)),  # includes collinear candidates, rejected
+    (4, 2, 200, (0, 3, 9)),  # few free cells
+    (9, 2, 100, (1, 2, 7)),  # full grid: every proposal hits an occupied cell
+    (16, 3, 50, (1, 4)),  # full grid
+    (12, 11, 600, (0, 1, 42)),
+    (40, 30, 200, (1, 2, 2024)),
+])
+def test_search_matches_reference_climb(n, extent, iterations, seeds):
+    for seed in seeds:
+        res = search_min_dirac(n, extent, iterations, seed)
+        degree, consumed, pts = reference_climb(n, extent, iterations, seed)
+        assert (res.degree, res.iterations_run) == (degree, consumed), seed
+        assert res.ratio == Fraction(2 * degree, n)
+        assert [(p.x, p.y) for p in res.best_set] == pts, seed
+
+
+def test_climb_classes_stay_live(monkeypatch):
+    accepted = []
+    accept = generators._Climb.accept
+
+    def checked(climb, idx, cell, degree, rekeys):
+        accept(climb, idx, cell, degree, rekeys)
+        assert climb.pts[idx] == cell
+        assert climb.classes == direction_classes(climb.pts)
+        assert climb.occupied == set(climb.pts)
+        assert climb.degree == max(len(at_j) for at_j in climb.classes)
+        accepted.append(idx)
+
+    monkeypatch.setattr(generators._Climb, "accept", checked)
+    for n, extent, seed in ((8, 2, 1), (7, 3, 5), (12, 6, 11)):
+        search_min_dirac(n, extent, 300, seed)
+    assert len(accepted) > 100
+
+
+def test_proposals_do_not_recompute_the_kernel(monkeypatch):
+    calls = []
+
+    def counting(pts):
+        calls.append(len(pts))
+        return direction_classes(pts)
+
+    monkeypatch.setattr(generators, "direction_classes", counting)
+    res = search_min_dirac(n=12, extent=11, iterations=3000, seed=42)
+    # one kernel call per restart, to build its start; 3000 proposals add none
+    assert calls == [12] * 10
+    assert res.iterations_run == 3000
 
 
 def test_search_result_invariants():

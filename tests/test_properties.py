@@ -1,0 +1,126 @@
+"""Property tests drawn by Hypothesis: metamorphic relations of the
+arrangement kernel, the point-file round trip, and the incremental search
+against the reference climb.
+
+Hypothesis is a test-only extra; without it this module is skipped. Every
+test is derandomized and keeps no example database, so the suite draws the
+same examples on every run; conftest keeps Hypothesis's other caches out
+of the checkout.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conftest import reference_climb  # noqa: E402
+from pointline import PointSet, compute_arrangement, search_min_dirac  # noqa: E402
+from pointline.geometry import _integer_coords, direction_classes  # noqa: E402
+from pointline.pointfile import format_points, parse_points  # noqa: E402
+
+
+def fixed(max_examples):
+    return settings(derandomize=True, database=None, deadline=None,
+                    max_examples=max_examples)
+
+
+def point_sets(min_size, max_size, span):
+    """Distinct integer points in [-span, span]^2: small spans force many
+    collinear triples."""
+    coord = st.integers(-span, span)
+    return st.lists(st.tuples(coord, coord), min_size=min_size, max_size=max_size,
+                    unique=True)
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def affine_maps(draw):
+    """(a, b, c, d, e, f) for (x, y) -> (ax + by + e, cx + dy + f), ad - bc != 0."""
+    a, b, c, d = draw(st.tuples(small_rationals, small_rationals,
+                                small_rationals, small_rationals)
+                      .filter(lambda m: m[0] * m[3] != m[1] * m[2]))
+    return a, b, c, d, draw(small_rationals), draw(small_rationals)
+
+
+def degrees(ps):
+    """Lines through each point, in point order."""
+    return [len(at_i) for at_i in direction_classes(_integer_coords(ps))]
+
+
+def histogram(stats):
+    return stats.s, stats.lines, stats.l_max, stats.dirac_degree
+
+
+@fixed(40)
+@given(point_sets(3, 20, 4), affine_maps())
+def test_affine_maps_keep_the_arrangement(coords, m):
+    a, b, c, d, e, f = m
+    ps = PointSet.from_coords(coords)
+    image = PointSet.from_coords((a * x + b * y + e, c * x + d * y + f) for x, y in coords)
+    base = compute_arrangement(ps)
+    moved = compute_arrangement(image)
+    assert histogram(moved) == histogram(base)
+    assert moved.dirac_witness == base.dirac_witness
+    assert degrees(image) == degrees(ps)
+
+
+@fixed(40)
+@given(point_sets(3, 20, 4).flatmap(
+    lambda coords: st.tuples(st.just(coords), st.permutations(range(len(coords))))))
+def test_permutations_keep_the_arrangement(drawn):
+    coords, order = drawn
+    ps = PointSet.from_coords(coords)
+    shuffled = PointSet.from_coords(coords[i] for i in order)
+    base = compute_arrangement(ps)
+    moved = compute_arrangement(shuffled)
+    assert histogram(moved) == histogram(base)
+    # point i moved to position order.index(i); its degree goes with it, and
+    # the witness is the lowest new position among the maximal degrees
+    old_degrees = degrees(ps)
+    assert degrees(shuffled) == [old_degrees[i] for i in order]
+    top = [pos for pos, i in enumerate(order) if old_degrees[i] == base.dirac_degree]
+    assert moved.dirac_witness == min(top)
+
+
+@fixed(8)
+@given(point_sets(100, 300, 25))
+def test_pairs_partition_into_lines(coords):
+    stats = compute_arrangement(PointSet.from_coords(coords))
+    assert sum(comb(i, 2) * si for i, si in stats.s.items()) == comb(len(coords), 2)
+
+
+big_rationals = st.builds(
+    Fraction,
+    st.integers(-10**400, 10**400),
+    st.integers(1, 10**400),
+)
+
+
+@fixed(40)
+@given(st.lists(st.tuples(big_rationals, big_rationals), max_size=12, unique=True))
+def test_point_files_round_trip(coords):
+    ps = PointSet.from_coords(coords)
+    assert parse_points(format_points(ps)) == ps
+
+
+@st.composite
+def climbs(draw):
+    extent = draw(st.integers(2, 8))
+    n = draw(st.integers(3, min(14, (extent + 1) ** 2)))
+    return n, extent, draw(st.integers(1, 60)), draw(st.integers(0, 2**64 - 1))
+
+
+@fixed(40)
+@given(climbs())
+def test_small_searches_match_the_reference_climb(case):
+    n, extent, iterations, seed = case
+    res = search_min_dirac(n, extent, iterations, seed)
+    degree, consumed, pts = reference_climb(n, extent, iterations, seed)
+    assert (res.degree, res.iterations_run) == (degree, consumed)
+    assert [(p.x, p.y) for p in res.best_set] == pts
