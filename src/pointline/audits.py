@@ -12,17 +12,16 @@ and the top-level lhs/rhs/slack are copied from the tightest part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
 
+from ._record import Record
 from .constants import DEFAULT_TAIL_WIDTH, PipelineParams, delta_of
 from .errors import PreconditionViolated
 from .geometry import ArrangementStats, require_noncollinear, subgraph_edge_count
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     name: str
     preconditions_met: bool
     holds: bool
@@ -186,8 +185,7 @@ def check_beck(stats: ArrangementStats) -> CheckReport:
     return _compound("beck", parts)
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(Record):
     """Pair-partition tally plus the four audited step inequalities.
 
     Line sizes i in 2..floor(eps*n) are classified small (i <= c), large

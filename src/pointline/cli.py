@@ -9,7 +9,11 @@ previews with at least 10 significant digits; floats never appear.
 Exit codes: 0 success / all binding checks hold; 1 a binding check failed;
 2 unparseable input (file or flags); 3 duplicate points; 4 unknown check
 name; 5 domain errors (no fixed point; a cutoff, eps, alpha, beta or tail
-width out of range; generation failed).
+width out of range; a sweep over too many cutoffs; generation failed).
+
+Each command imports the library modules it uses when it runs, and its
+parser is filled in only when it is parsed, so a command pays start-up
+only for its own modules.
 """
 
 from __future__ import annotations
@@ -22,28 +26,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .audits import (
-    CheckReport,
-    ProofTrace,
-    audit_proof_steps,
-    check_beck,
-    check_hirzebruch,
-    check_kelly_moser,
-    check_main,
-    check_melchior,
-    check_stt,
-    combine_reports,
-)
-from .constants import (
-    DEFAULT_TAIL_WIDTH,
-    Interval,
-    PipelineParams,
-    beck_constant_from,
-    best_cutoff,
-    delta_of,
-    solve_fixed_point,
-    sweep_fixed_points,
-)
 from .errors import (
     BadCutoff,
     BadEps,
@@ -54,9 +36,6 @@ from .errors import (
     PointFormatError,
     PreconditionViolated,
 )
-from .generators import KINDS, RNG_ALGORITHM, GeneratorSpec, generate, search_min_dirac
-from .geometry import ArrangementStats, PointSet, compute_arrangement
-from .pointfile import format_points, parse_points, parse_rational
 
 SCHEMA_VERSION = "1"
 
@@ -91,7 +70,7 @@ def _dec(value, sig: int = 12) -> str:
     return str(d)
 
 
-def _interval_payload(iv: Interval) -> dict:
+def _interval_payload(iv) -> dict:
     return {
         "lo": _rat(iv.lo),
         "lo_decimal": _dec(iv.lo),
@@ -100,7 +79,7 @@ def _interval_payload(iv: Interval) -> dict:
     }
 
 
-def _stats_payload(stats: ArrangementStats) -> dict:
+def _stats_payload(stats) -> dict:
     return {
         "n": stats.n,
         "s": [[i, si] for i, si in stats.s.items()],
@@ -113,7 +92,7 @@ def _stats_payload(stats: ArrangementStats) -> dict:
     }
 
 
-def _report_payload(r: CheckReport) -> dict:
+def _report_payload(r) -> dict:
     return {
         "name": r.name,
         "preconditions_met": r.preconditions_met,
@@ -126,7 +105,7 @@ def _report_payload(r: CheckReport) -> dict:
     }
 
 
-def _trace_payload(t: ProofTrace) -> dict:
+def _trace_payload(t) -> dict:
     return {
         "name": "proof-trace",
         "c": t.c,
@@ -156,7 +135,10 @@ def _params_digest(entries: dict) -> str:
     return hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
 
 
-def _read_point_file(path: str) -> tuple[str, PointSet]:
+def _read_point_file(path: str) -> tuple:
+    """(sha256 of the file's bytes, its PointSet); exit 2 or 3 on bad input."""
+    from .pointfile import parse_points
+
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -175,6 +157,8 @@ def _read_point_file(path: str) -> tuple[str, PointSet]:
 
 
 def _rational_flag(text: str) -> Fraction:
+    from .pointfile import parse_rational
+
     try:
         return parse_rational(text)
     except ValueError as exc:
@@ -186,6 +170,8 @@ def _rational_flag(text: str) -> Fraction:
 
 
 def _cmd_analyze(args) -> int:
+    from .geometry import compute_arrangement
+
     digest, ps = _read_point_file(args.file)
     stats = compute_arrangement(ps)
     if args.json:
@@ -209,7 +195,9 @@ def _cmd_analyze(args) -> int:
 # verify
 
 
-def _skipped(name: str, reason: str) -> CheckReport:
+def _skipped(name: str, reason: str):
+    from .audits import CheckReport
+
     zero = Fraction(0)
     return CheckReport(
         name=name,
@@ -223,6 +211,17 @@ def _skipped(name: str, reason: str) -> CheckReport:
 
 
 def _run_check(name, stats, params, c, eps, tail_width):
+    from .audits import (
+        audit_proof_steps,
+        check_beck,
+        check_hirzebruch,
+        check_kelly_moser,
+        check_main,
+        check_melchior,
+        check_stt,
+        combine_reports,
+    )
+
     if name == "melchior":
         return check_melchior(stats)
     if name == "hirzebruch":
@@ -248,6 +247,10 @@ def _run_check(name, stats, params, c, eps, tail_width):
 
 
 def _cmd_verify(args) -> int:
+    from .audits import ProofTrace
+    from .constants import PipelineParams, checked_eps, checked_tail_width, h_of
+    from .geometry import compute_arrangement
+
     names = [t.strip() for t in args.check.split(",") if t.strip()]
     unknown = [t for t in names if t not in CHECK_NAMES]
     if unknown or not names:
@@ -255,15 +258,19 @@ def _cmd_verify(args) -> int:
         print(f"unknown check name: {bad}; valid: {', '.join(CHECK_NAMES)}", file=sys.stderr)
         return EXIT_UNKNOWN_CHECK
     digest, ps = _read_point_file(args.file)
-    stats = compute_arrangement(ps)
+    # The pipeline flags are validated whichever checks run, in the order
+    # proof-trace's delta_of validates them, so both report the same error.
     try:
         params = PipelineParams(alpha=args.alpha, beta=args.beta)
-        entries = [
-            _run_check(name, stats, params, args.c, args.eps, args.tail_width)
-            for name in names
-        ]
+        checked_eps(args.eps)
+        h_of(args.c)
+        checked_tail_width(args.tail_width)
     except (BadCutoff, BadEps, ValueError) as exc:
         raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
+    stats = compute_arrangement(ps)
+    entries = [
+        _run_check(name, stats, params, args.c, args.eps, args.tail_width) for name in names
+    ]
     failures: list[str] = []
     for entry in entries:
         failures.extend(entry.binding_failures())
@@ -296,7 +303,7 @@ def _cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
-def _human_check_line(r: CheckReport) -> str:
+def _human_check_line(r) -> str:
     verdict = "holds" if r.holds else "FAILS"
     flag = "" if r.preconditions_met else " (non-binding: hypothesis not met)"
     return f"{r.name}: {verdict}{flag} lhs={r.lhs} rhs={r.rhs} slack={r.slack}"
@@ -315,6 +322,8 @@ def _constants_payload_common(args) -> dict:
 
 
 def _cmd_constants(args) -> int:
+    from .constants import PipelineParams, beck_constant_from, delta_of, solve_fixed_point
+
     try:
         params = PipelineParams(alpha=args.alpha, beta=args.beta)
         if args.optimize:
@@ -360,6 +369,8 @@ def _cmd_constants(args) -> int:
 
 
 def _constants_optimize(args, params) -> dict:
+    from .constants import beck_constant_from, best_cutoff, sweep_fixed_points
+
     entries = list(
         sweep_fixed_points(args.c_min, args.c_max, params, args.mode, args.tail_width)
     )
@@ -411,6 +422,9 @@ def _emit_constants(args, payload) -> None:
 
 
 def _cmd_generate(args) -> int:
+    from .generators import GeneratorSpec, generate
+    from .pointfile import format_points
+
     sizes = args.sizes
     try:
         if args.kind == "grid":
@@ -446,6 +460,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .generators import RNG_ALGORITHM, search_min_dirac
+
     try:
         result = search_min_dirac(args.n, args.extent, args.iters, args.seed)
     except ValueError as exc:
@@ -480,12 +496,83 @@ def _cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments when it first parses.
+
+    Some arguments take their defaults or choices from a library module,
+    so adding them imports it. Deferred, only the command that runs, or
+    whose help is asked for, imports its modules.
+    """
+
+    def __init__(self, *args, arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            arguments, self._arguments = self._arguments, None
+            arguments(self)
+        return super().parse_known_args(args, namespace)
+
+
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     """--alpha, --beta and --tail-width, defaulting to the library's values."""
+    from .constants import DEFAULT_TAIL_WIDTH, PipelineParams
+
     defaults = PipelineParams()
     p.add_argument("--alpha", type=_rational_flag, default=defaults.alpha)
     p.add_argument("--beta", type=_rational_flag, default=defaults.beta)
     p.add_argument("--tail-width", type=_rational_flag, default=DEFAULT_TAIL_WIDTH)
+
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_analyze)
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--check", default=DEFAULT_CHECKS,
+                   help=f"comma-separated subset of {','.join(CHECK_NAMES)}")
+    p.add_argument("--c", type=int, default=8, help="cutoff for proof-trace")
+    p.add_argument("--eps", type=_rational_flag, default=Fraction(499, 1000),
+                   help="collinearity fraction for proof-trace, as p/q")
+    _add_pipeline_flags(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_verify)
+
+
+def _constants_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--c", type=int)
+    p.add_argument("--mode", choices=("dirac", "beck", "fixed-eps"), required=True)
+    p.add_argument("--eps", type=_rational_flag, help="eps for --mode fixed-eps")
+    _add_pipeline_flags(p)
+    p.add_argument("--optimize", action="store_true", help="sweep c-min..c-max")
+    p.add_argument("--c-min", type=int, default=8)
+    p.add_argument("--c-max", type=int, default=200)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_constants)
+
+
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
+    from .generators import KINDS
+
+    p.add_argument("kind", choices=KINDS)
+    p.add_argument("sizes", type=int, nargs="+")
+    p.add_argument("--extent", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_generate)
+
+
+def _search_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--extent", type=int, required=True)
+    p.add_argument("--iters", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_search)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -493,51 +580,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pointline",
         description="Exact point-line arrangement statistics, audits and constants.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_analyze = sub.add_parser("analyze", help="arrangement statistics for a point file")
-    p_analyze.add_argument("file")
-    p_analyze.add_argument("--json", action="store_true")
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_verify = sub.add_parser("verify", help="run inequality audits on a point file")
-    p_verify.add_argument("file")
-    p_verify.add_argument("--check", default=DEFAULT_CHECKS,
-                          help=f"comma-separated subset of {','.join(CHECK_NAMES)}")
-    p_verify.add_argument("--c", type=int, default=8, help="cutoff for proof-trace")
-    p_verify.add_argument("--eps", type=_rational_flag, default=Fraction(499, 1000),
-                          help="collinearity fraction for proof-trace, as p/q")
-    _add_pipeline_flags(p_verify)
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_const = sub.add_parser("constants", help="certified constant pipeline")
-    p_const.add_argument("--c", type=int)
-    p_const.add_argument("--mode", choices=("dirac", "beck", "fixed-eps"), required=True)
-    p_const.add_argument("--eps", type=_rational_flag, help="eps for --mode fixed-eps")
-    _add_pipeline_flags(p_const)
-    p_const.add_argument("--optimize", action="store_true", help="sweep c-min..c-max")
-    p_const.add_argument("--c-min", type=int, default=8)
-    p_const.add_argument("--c-max", type=int, default=200)
-    p_const.add_argument("--json", action="store_true")
-    p_const.set_defaults(func=_cmd_constants)
-
-    p_gen = sub.add_parser("generate", help="write a configuration as a point file")
-    p_gen.add_argument("kind", choices=KINDS)
-    p_gen.add_argument("sizes", type=int, nargs="+")
-    p_gen.add_argument("--extent", type=int)
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--out")
-    p_gen.set_defaults(func=_cmd_generate)
-
-    p_search = sub.add_parser("search", help="hill-climb for low max point degree")
-    p_search.add_argument("--n", type=int, required=True)
-    p_search.add_argument("--extent", type=int, required=True)
-    p_search.add_argument("--iters", type=int, required=True)
-    p_search.add_argument("--seed", type=int, required=True)
-    p_search.add_argument("--json", action="store_true")
-    p_search.set_defaults(func=_cmd_search)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub.add_parser("analyze", help="arrangement statistics for a point file",
+                   arguments=_analyze_arguments)
+    sub.add_parser("verify", help="run inequality audits on a point file",
+                   arguments=_verify_arguments)
+    sub.add_parser("constants", help="certified constant pipeline",
+                   arguments=_constants_arguments)
+    sub.add_parser("generate", help="write a configuration as a point file",
+                   arguments=_generate_arguments)
+    sub.add_parser("search", help="hill-climb for low max point degree",
+                   arguments=_search_arguments)
     return parser
 
 

@@ -18,13 +18,13 @@ hold unconditionally, and no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import comb
-from typing import Iterable, Iterator
 
+from ._record import Record
 from .errors import BadCutoff, BadEps, ClaimViolated, NoSolution
 
 # Default two-sided width for tail enclosures. Tight enough that the
@@ -36,11 +36,15 @@ DEFAULT_TAIL_WIDTH = Fraction(1, 10**9)
 # outgrow CPython's 4300-digit limit on printing an integer.
 MIN_TAIL_WIDTH = Fraction(1, 10**100)
 
+# Most cutoffs sweep_fixed_points solves in one sweep. A row costs about
+# 0.1 ms, so 10^4 rows take about a second (under two for the CLI, with
+# 1.5 MB of JSON); 10^8 rows would run for hours.
+MAX_SWEEP_ROWS = 10**4
+
 MODES = ("dirac", "beck")
 
 
-@dataclass(frozen=True)
-class PipelineParams:
+class PipelineParams(Record):
     """Crossing-lemma constants used by the pipeline.
 
     alpha may be zero (the self-term then drops out of the fixed point);
@@ -59,8 +63,7 @@ class PipelineParams:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A closed interval with exact rational endpoints, lo <= hi."""
 
     lo: Fraction
@@ -81,8 +84,7 @@ class Interval:
         return self.lo <= v <= self.hi
 
 
-@dataclass(frozen=True)
-class DeltaBreakdown:
+class DeltaBreakdown(Record):
     """Every intermediate of one delta evaluation, for reports and audits."""
 
     c: int
@@ -138,11 +140,29 @@ def _em_term(k: int, n: int) -> Fraction:
     return _bernoulli(k) * Fraction(2 * n + 2 * k + 1, 2 * n ** (2 * k + 2))
 
 
+def checked_eps(eps) -> Fraction:
+    """eps as a Fraction; BadEps unless 0 < eps < 1/2."""
+    eps = Fraction(eps)
+    if not 0 < eps < Fraction(1, 2):
+        raise BadEps(f"eps must lie in (0, 1/2), got {eps}")
+    return eps
+
+
+def checked_tail_width(width_bound) -> Fraction:
+    """width_bound as a Fraction; ValueError unless it is at least MIN_TAIL_WIDTH."""
+    width_bound = Fraction(width_bound)
+    if width_bound <= 0:
+        raise ValueError(f"width bound must be positive, got {width_bound}")
+    if width_bound < MIN_TAIL_WIDTH:
+        raise ValueError("width bound must be at least 1/10^100")
+    return width_bound
+
+
 def tail_sum(c: int, width_bound: Fraction = DEFAULT_TAIL_WIDTH) -> Interval:
     """Two-sided enclosure of T(c) = sum_{i>=c} (i+1)/i^3 with width <= width_bound.
 
     width_bound must lie in [MIN_TAIL_WIDTH, inf); anything else raises
-    ValueError.
+    ValueError (see checked_tail_width).
 
     With n = max(c, 32) and t_k the k-th Euler-Maclaurin term at n (see
     _em_term),
@@ -166,11 +186,7 @@ def tail_sum(c: int, width_bound: Fraction = DEFAULT_TAIL_WIDTH) -> Interval:
     """
     if c < 2:
         raise ValueError(f"tail cutoff must be >= 2, got {c}")
-    width_bound = Fraction(width_bound)
-    if width_bound <= 0:
-        raise ValueError(f"width bound must be positive, got {width_bound}")
-    if width_bound < MIN_TAIL_WIDTH:
-        raise ValueError("width bound must be at least 1/10^100")
+    width_bound = checked_tail_width(width_bound)
     n = max(c, 32)
     while True:
         s = sum((_term(i) for i in range(c, n)), Fraction(0))
@@ -215,9 +231,7 @@ def delta_of(
     The interval may be negative; interpreting it is the caller's concern.
     """
     params = params or PipelineParams()
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 2):
-        raise BadEps(f"eps must lie in (0, 1/2), got {eps}")
+    eps = checked_eps(eps)
     h, y, mid, tail = _terms(c, tail_width)
     return DeltaBreakdown(
         c=c,
@@ -275,10 +289,16 @@ def sweep_fixed_points(
     c_min..c_max; (c, None, None) where no positive fixed point exists.
 
     Each cutoff gets its own tail bracket, so every row equals the direct
-    solve at that cutoff exactly.
+    solve at that cutoff exactly. A range of more than MAX_SWEEP_ROWS
+    cutoffs raises BadCutoff before any row is solved.
     """
     if not 8 <= c_min <= c_max:
         raise BadCutoff(f"need 8 <= c_min <= c_max, got {c_min}..{c_max}")
+    if c_max - c_min + 1 > MAX_SWEEP_ROWS:
+        raise BadCutoff(
+            f"{c_max - c_min + 1} cutoffs requested in {c_min}..{c_max}; "
+            f"the cap is {MAX_SWEEP_ROWS}"
+        )
     for c in range(c_min, c_max + 1):
         try:
             eps, delta = solve_fixed_point(c, params, mode, tail_width)

@@ -7,10 +7,10 @@ travels with search results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .errors import GenerationFailed
 from .geometry import PointSet, direction_classes
 
@@ -48,8 +48,7 @@ class SplitMix64:
                 return u % bound
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """A named configuration recipe; build one via the classmethods."""
 
     kind: str
@@ -225,8 +224,7 @@ def _sample_start(rng: SplitMix64, n: int, extent: int) -> _Climb:
     raise GenerationFailed("could not sample a non-collinear start")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     best_set: PointSet
     degree: int
     ratio: Fraction

@@ -16,16 +16,15 @@ freely.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Iterator, Sequence
 
+from ._record import Record
 from .errors import CollinearInput, DuplicatePoints, IdenticalPoints
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """A planar point with exact rational coordinates."""
 
     x: Fraction
@@ -37,8 +36,7 @@ class Point:
         object.__setattr__(self, "y", Fraction(self.y))
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     """An ordered tuple of pairwise distinct points.
 
     Order is preserved exactly as given; point indices used in reports and
@@ -79,8 +77,7 @@ class PointSet:
         return self.points[idx]
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Record):
     """A line a*x + b*y + c = 0 in canonical integer form.
 
     Canonical means: a, b, c are integers with gcd 1, (a, b) != (0, 0), and
@@ -125,8 +122,7 @@ def canonical_line(p: Point, q: Point) -> Line:
     return Line(ai, bi, ci)
 
 
-@dataclass(frozen=True)
-class ArrangementStats:
+class ArrangementStats(Record):
     """Line histogram of a point set.
 
     s maps i to the number of lines containing exactly i of the points

@@ -13,7 +13,12 @@ import re
 from fractions import Fraction
 
 from .errors import PointFormatError
-from .geometry import PointSet
+
+# geometry is imported where a PointSet is built, not here: rational flags
+# are parsed by commands that never touch geometry.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .geometry import PointSet
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -35,6 +40,8 @@ def parse_points(text: str) -> PointSet:
     Raises PointFormatError with the offending 1-based line number, or
     DuplicatePoints if the file repeats a point.
     """
+    from .geometry import PointSet
+
     coords = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

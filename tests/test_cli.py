@@ -1,7 +1,12 @@
+import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+
+import pytest
 
 CMD = [sys.executable, "-m", "pointline"]
 
@@ -325,6 +330,27 @@ def test_verify_bad_cutoff_and_eps_exit_5(tmp_path):
         assert proc.stderr.strip()
 
 
+def test_default_verify_validates_the_pipeline_flags(tmp_path):
+    # the default checks never read --c, --eps or --tail-width, but an
+    # out-of-range value is refused as it is with --check proof-trace
+    path = write_grid(tmp_path, side=5)
+    cases = (
+        (("--tail-width", "0"), "width bound must be positive, got 0"),
+        (("--tail-width", "1/1" + "0" * 101), "width bound must be at least 1/10^100"),
+        (("--c", "7"), "cutoff must be >= 8, got 7"),
+        (("--eps", "3/5"), "eps must lie in (0, 1/2), got 3/5"),
+        (("--eps", "0"), "eps must lie in (0, 1/2), got 0"),
+        # eps is checked before the cutoff, as proof-trace's delta_of does
+        (("--c", "7", "--eps", "3/5"), "eps must lie in (0, 1/2), got 3/5"),
+    )
+    for flags, message in cases:
+        for check in ("melchior,hirzebruch,kelly-moser,stt,main,beck", "melchior"):
+            proc = run_cli("verify", path, "--check", check, *flags, "--json")
+            assert proc.returncode == 5, flags
+            assert proc.stdout == ""
+            assert proc.stderr == message + "\n"
+
+
 def test_verify_bad_alpha_or_beta_exit_5(tmp_path):
     path = write_grid(tmp_path)
     for flag in ("--alpha=-1/2", "--beta=0"):
@@ -376,3 +402,76 @@ def test_verify_runs_the_kernel_once(tmp_path, monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert [c["name"] for c in payload["checks"]][4] == "main"
     assert calls == [16]
+
+
+def test_optimize_sweep_over_the_cap_exits_5_before_any_work():
+    from pointline.constants import MAX_SWEEP_ROWS
+
+    proc = run_cli("constants", "--mode", "dirac", "--optimize", "--c-min", "8",
+                   "--c-max", "100000000", "--json", timeout=10)
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"99999993 cutoffs requested in 8..100000000; the cap is {MAX_SWEEP_ROWS}\n")
+
+
+# sha256 of each --help text as argparse prints it at 80 columns. The
+# parsers are filled in lazily, per subcommand; the text must not change.
+HELP_SHA256 = {
+    (): "222eee6b8814f05f9aaebdd06c87fa1c55a34b9d1cd74bc12c41a9c1e110cf80",
+    ("analyze",): "8c4c88df3c4d00e011c7f622c034ef6ff03ac6c25c3bd1c861fa4e4a4a6632d4",
+    ("verify",): "e2a419fea3f46b610157477652d6eb11e12f6237eac4d29eb32664a03051825e",
+    ("constants",): "9b0e5bb92f8e221e7832c42ea56c6b921d1949a07c07bca28c1b8179eb1f09fd",
+    ("generate",): "ad65ba3b563462c6987d0a498f599b16bf4b20bc4b05f453e66c58f0a116dfb0",
+    ("search",): "63be2ad1b2f04080103a9b8dc2b98db1e16608d60b9ee4256ada59a4b736ecce",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help text pinned as Python 3.11's argparse formats it")
+def test_help_text_is_pinned():
+    env = dict(os.environ, COLUMNS="80")
+    for command, digest in HELP_SHA256.items():
+        proc = subprocess.run(CMD + [*command, "--help"], capture_output=True, env=env)
+        assert proc.returncode == 0, command
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, command
+
+
+def test_parser_defaults_and_choices_come_from_the_library():
+    from pointline import DEFAULT_TAIL_WIDTH, PipelineParams, cli
+    from pointline.generators import KINDS
+
+    parser = cli._build_parser()
+    defaults = PipelineParams()
+    for argv in (["verify", "f.txt"], ["constants", "--mode", "dirac"]):
+        args = parser.parse_args(argv)
+        assert (args.alpha, args.beta) == (defaults.alpha, defaults.beta)
+        assert args.tail_width == DEFAULT_TAIL_WIDTH
+    for kind in KINDS:
+        assert cli._build_parser().parse_args(["generate", kind, "3"]).kind == kind
+    proc = run_cli("generate", "hexagon", "3")
+    assert proc.returncode == 2
+    assert f"choose from {', '.join(map(repr, KINDS))}" in proc.stderr
+
+
+def _imported(*args, tmp_path) -> set:
+    """The modules a python run imports, from its -X importtime report."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return set(re.findall(r"^import time:.*\|\s*(\S+)$", proc.stderr, flags=re.M))
+
+
+def test_each_command_imports_only_its_modules(tmp_path):
+    constants = _imported("-m", "pointline", "constants", "--c", "71", "--mode", "dirac",
+                          "--json", tmp_path=tmp_path)
+    assert {"pointline.cli", "pointline.constants", "pointline.errors"} <= constants
+    assert not constants & {"dataclasses", "inspect", "pointline.geometry", "pointline.audits",
+                            "pointline.generators", "pointline.pointfile"}
+    analyze = _imported("-m", "pointline", "analyze", write_grid(tmp_path), "--json",
+                        tmp_path=tmp_path)
+    assert {"pointline.geometry", "pointline.pointfile"} <= analyze
+    assert not analyze & {"pointline.audits", "pointline.constants", "pointline.generators"}
+    bare = _imported("-c", "import pointline", tmp_path=tmp_path)
+    assert "pointline" in bare
+    assert not {m for m in bare if m.startswith("pointline.")}

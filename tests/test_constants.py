@@ -222,6 +222,34 @@ def test_sweep_reports_no_solution_rows():
         optimize_c(8, 27, mode="dirac")
 
 
+def test_sweep_row_cap():
+    from pointline.constants import MAX_SWEEP_ROWS
+
+    # at the cap the sweep starts; one row more is refused before any row
+    assert next(sweep_fixed_points(8, 7 + MAX_SWEEP_ROWS))[0] == 8
+    with pytest.raises(BadCutoff, match=f"the cap is {MAX_SWEEP_ROWS}"):
+        next(sweep_fixed_points(8, 8 + MAX_SWEEP_ROWS))
+    with pytest.raises(BadCutoff):
+        optimize_c(8, 10**8, mode="beck")
+
+
+def test_argument_checks_are_the_pipelines_own():
+    from pointline.constants import checked_eps, checked_tail_width
+
+    assert checked_eps("1/4") == Fraction(1, 4)
+    assert checked_tail_width(MIN_TAIL_WIDTH) == MIN_TAIL_WIDTH
+    for eps in (0, Fraction(1, 2), -1):
+        with pytest.raises(BadEps):
+            checked_eps(eps)
+        with pytest.raises(BadEps):
+            delta_of(71, eps)
+    for width in (0, -1, MIN_TAIL_WIDTH / 2):
+        with pytest.raises(ValueError):
+            checked_tail_width(width)
+        with pytest.raises(ValueError):
+            tail_sum(71, width)
+
+
 def test_params_validation_and_edge_values():
     with pytest.raises(ValueError):
         PipelineParams(alpha=Fraction(-1, 2))
