@@ -44,7 +44,6 @@ _EXPORTS = {
         "CollinearInput",
         "DuplicatePoints",
         "GenerationFailed",
-        "IdenticalPoints",
         "NoSolution",
         "PointFormatError",
         "PointlineError",
@@ -60,11 +59,8 @@ _EXPORTS = {
     ),
     "geometry": (
         "ArrangementStats",
-        "Line",
         "Point",
         "PointSet",
-        "canonical_line",
-        "collinear",
         "compute_arrangement",
         "dirac_degree",
         "pair_tally",

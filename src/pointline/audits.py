@@ -133,24 +133,24 @@ def check_stt(
     return _compound(f"stt(i={i})", parts)
 
 
-def check_main(stats: ArrangementStats, dirac: tuple[int, int]) -> CheckReport:
+def check_main(stats: ArrangementStats) -> CheckReport:
     """Degree >= n/37; and when l_max <= n/37, incidences >= n^2/37.
 
-    dirac is the (witness, degree) pair for the same point set. The second
-    part is reported but non-binding when its hypothesis l_max <= n/37
-    fails.
+    The degree and its witness are stats.dirac_degree and
+    stats.dirac_witness. Raises CollinearInput for fewer than 3 points or
+    a collinear set. The second part is reported but non-binding when its
+    hypothesis l_max <= n/37 fails.
     """
     require_noncollinear(stats)
     n = stats.n
-    witness, degree = dirac
     threshold = Fraction(n, 37)
     applicable = stats.l_max <= threshold
     parts = (
         _ge(
             "main-degree",
-            Fraction(degree),
+            Fraction(stats.dirac_degree),
             threshold,
-            note=f"witness index {witness}",
+            note=f"witness index {stats.dirac_witness}",
         ),
         _ge(
             "main-incidences",

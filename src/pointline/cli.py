@@ -7,9 +7,10 @@ keys, a trailing newline, "p/q" strings for rationals and decimal-string
 previews with at least 10 significant digits; floats never appear.
 
 Exit codes: 0 success / all binding checks hold; 1 a binding check failed;
-2 unparseable input (file or flags); 3 duplicate points; 4 unknown check
-name; 5 domain errors (no fixed point; a cutoff, eps, alpha, beta or tail
-width out of range; a sweep over too many cutoffs; generation failed).
+2 unparseable input (file or flags) or an output file that cannot be
+written; 3 duplicate points; 4 unknown check name; 5 domain errors (no
+fixed point; a cutoff, eps, alpha, beta or tail width out of range; a sweep
+over too many cutoffs; a search over its work cap; generation failed).
 
 Each command imports the library modules it uses when it runs, and its
 parser is filled in only when it is parsed, so a command pays start-up
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -121,22 +121,21 @@ def _trace_payload(t) -> dict:
     }
 
 
-def _document(command: str, digest: str, payload: dict) -> str:
+def _document(command: str, source: bytes, payload: dict) -> str:
+    """The JSON document; its input_digest is the sha256 of source."""
+    import hashlib
+
     doc = {
         "command": command,
-        "input_digest": digest,
+        "input_digest": hashlib.sha256(source).hexdigest(),
         "payload": payload,
         "schema_version": SCHEMA_VERSION,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _params_digest(entries: dict) -> str:
-    return hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
-
-
 def _read_point_file(path: str) -> tuple:
-    """(sha256 of the file's bytes, its PointSet); exit 2 or 3 on bad input."""
+    """(the file's bytes, its PointSet); exit 2 or 3 on bad input."""
     from .pointfile import parse_points
 
     try:
@@ -153,7 +152,7 @@ def _read_point_file(path: str) -> tuple:
         raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
     except DuplicatePoints as exc:
         raise _CliFailure(EXIT_DUPLICATE, f"{path}: {exc}") from None
-    return hashlib.sha256(data).hexdigest(), ps
+    return data, ps
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -172,10 +171,10 @@ def _rational_flag(text: str) -> Fraction:
 def _cmd_analyze(args) -> int:
     from .geometry import compute_arrangement
 
-    digest, ps = _read_point_file(args.file)
+    source, ps = _read_point_file(args.file)
     stats = compute_arrangement(ps)
     if args.json:
-        sys.stdout.write(_document("analyze", digest, _stats_payload(stats)))
+        sys.stdout.write(_document("analyze", source, _stats_payload(stats)))
         return EXIT_OK
     rows = [
         ("n", str(stats.n)),
@@ -222,28 +221,22 @@ def _run_check(name, stats, params, c, eps, tail_width):
         combine_reports,
     )
 
-    if name == "melchior":
-        return check_melchior(stats)
-    if name == "hirzebruch":
-        return check_hirzebruch(stats)
-    if name == "kelly-moser":
-        return check_kelly_moser(stats)
-    if name == "stt":
-        reports = tuple(check_stt(stats, i, params) for i in range(2, stats.l_max + 1))
-        return combine_reports("stt", reports, note=f"levels 2..{stats.l_max}")
-    if name == "main":
-        try:
-            return check_main(stats, (stats.dirac_witness, stats.dirac_degree))
-        except CollinearInput as exc:
-            return _skipped(name, str(exc))
-    if name == "beck":
-        return check_beck(stats)
-    if name == "proof-trace":
-        try:
+    checks = {
+        "melchior": check_melchior,
+        "hirzebruch": check_hirzebruch,
+        "kelly-moser": check_kelly_moser,
+        "main": check_main,
+        "beck": check_beck,
+    }
+    try:
+        if name == "stt":
+            reports = tuple(check_stt(stats, i, params) for i in range(2, stats.l_max + 1))
+            return combine_reports("stt", reports, note=f"levels 2..{stats.l_max}")
+        if name == "proof-trace":
             return audit_proof_steps(stats, c, eps, params, tail_width)
-        except PreconditionViolated as exc:
-            return _skipped(name, str(exc))
-    raise AssertionError(f"unhandled check {name}")
+        return checks[name](stats)
+    except (CollinearInput, PreconditionViolated) as exc:
+        return _skipped(name, str(exc))
 
 
 def _cmd_verify(args) -> int:
@@ -257,7 +250,7 @@ def _cmd_verify(args) -> int:
         bad = ", ".join(unknown) or "(empty)"
         print(f"unknown check name: {bad}; valid: {', '.join(CHECK_NAMES)}", file=sys.stderr)
         return EXIT_UNKNOWN_CHECK
-    digest, ps = _read_point_file(args.file)
+    source, ps = _read_point_file(args.file)
     # The pipeline flags are validated whichever checks run, in the order
     # proof-trace's delta_of validates them, so both report the same error.
     try:
@@ -288,7 +281,7 @@ def _cmd_verify(args) -> int:
         "binding_failures": failures,
     }
     if args.json:
-        sys.stdout.write(_document("verify", digest, payload))
+        sys.stdout.write(_document("verify", source, payload))
     else:
         for entry in entries:
             if isinstance(entry, ProofTrace):
@@ -400,11 +393,12 @@ def _constants_optimize(args, params) -> dict:
 
 
 def _emit_constants(args, payload) -> None:
-    digest_source = {"command": "constants"} | {
-        k: v for k, v in payload.items() if not isinstance(v, (dict, list))
-    }
     if args.json:
-        sys.stdout.write(_document("constants", _params_digest(digest_source), payload))
+        entries = {"command": "constants"} | {
+            k: v for k, v in payload.items() if not isinstance(v, (dict, list))
+        }
+        source = json.dumps(entries, sort_keys=True).encode()
+        sys.stdout.write(_document("constants", source, payload))
         return
     skip = {"sweep"}
     for key in sorted(payload):
@@ -448,7 +442,10 @@ def _cmd_generate(args) -> int:
         raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
     text = format_points(ps)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _CliFailure(EXIT_PARSE, f"cannot write {args.out}: {exc}") from None
         print(f"{args.out} n={ps.n}")
     else:
         sys.stdout.write(text)
@@ -480,11 +477,10 @@ def _cmd_search(args) -> int:
         "points": [[_rat(p.x), _rat(p.y)] for p in result.best_set],
     }
     if args.json:
-        digest = _params_digest(
-            {"command": "search", "n": args.n, "extent": args.extent,
-             "iters": args.iters, "seed": args.seed}
-        )
-        sys.stdout.write(_document("search", digest, payload))
+        entries = {"command": "search", "n": args.n, "extent": args.extent,
+                   "iters": args.iters, "seed": args.seed}
+        source = json.dumps(entries, sort_keys=True).encode()
+        sys.stdout.write(_document("search", source, payload))
     else:
         print(f"degree {result.degree} ratio {result.ratio} "
               f"({RNG_ALGORITHM}, seed {result.seed}, {result.iterations_run} iterations)")

@@ -14,10 +14,6 @@ class PointFormatError(PointlineError):
         self.reason = reason
 
 
-class IdenticalPoints(PointlineError):
-    """Two coincident points were given where a determined line was required."""
-
-
 class DuplicatePoints(PointlineError):
     """A point set contains repeated points. Carries (first, duplicate) index pairs."""
 

@@ -8,7 +8,7 @@ travels with search results.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from ._record import Record
 from .errors import GenerationFailed
@@ -20,6 +20,11 @@ KINDS = ("grid", "near_pencil", "collinear", "parabola", "random_grid")
 
 # Largest point count generate() builds: W*H for a grid, n for every other kind.
 MAX_POINTS = 10**6
+
+# Largest amount of work search_min_dirac() takes on, in units of about a
+# microsecond: each restart reduces C(n, 2) point pairs, and each iteration
+# scores one proposal against the n points plus a fixed cost of about ten.
+MAX_SEARCH_WORK = 10**6
 
 RNG_ALGORITHM = "splitmix64"
 
@@ -250,6 +255,9 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
     degree moves by at most one either way, and the moved point's degree
     is its number of distinct directions to the others. The classes are
     updated only when a move is accepted.
+
+    Raises GenerationFailed, before any work is done, when the restarts'
+    pairs plus the iterations' proposals exceed MAX_SEARCH_WORK.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -260,8 +268,15 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
     side = extent + 1
     if n > side * side:
         raise GenerationFailed(f"cannot place {n} distinct points on a {side}x{side} grid")
-
     restart_len = max(1, iterations // 10)
+    restarts = -(-iterations // restart_len)
+    work = restarts * comb(n, 2) + iterations * (n + 10)
+    if work > MAX_SEARCH_WORK:
+        raise GenerationFailed(
+            f"search work {work} requested for n={n} over {iterations} iterations; "
+            f"the cap is {MAX_SEARCH_WORK}"
+        )
+
     best_pts: list[tuple[int, int]] | None = None
     best_deg = 0
     consumed = 0

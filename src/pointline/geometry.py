@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from ._record import Record
-from .errors import CollinearInput, DuplicatePoints, IdenticalPoints
+from .errors import CollinearInput, DuplicatePoints
 
 
 class Point(Record):
@@ -75,51 +75,6 @@ class PointSet(Record):
 
     def __getitem__(self, idx: int) -> Point:
         return self.points[idx]
-
-
-class Line(Record):
-    """A line a*x + b*y + c = 0 in canonical integer form.
-
-    Canonical means: a, b, c are integers with gcd 1, (a, b) != (0, 0), and
-    the sign is fixed by a > 0, or a == 0 and b > 0. Two point pairs span
-    the same line exactly when their canonical triples are equal.
-    """
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
-        if (a, b) == (0, 0):
-            raise ValueError("degenerate line: a = b = 0")
-        if gcd(a, b, c) != 1:
-            raise ValueError(f"non-reduced line triple ({a}, {b}, {c})")
-        if a < 0 or (a == 0 and b < 0):
-            raise ValueError(f"sign rule violated for ({a}, {b}, {c})")
-
-
-def collinear(p: Point, q: Point, r: Point) -> bool:
-    """Exact orientation test: True iff the three points lie on one line."""
-    return (q.x - p.x) * (r.y - p.y) == (q.y - p.y) * (r.x - p.x)
-
-
-def canonical_line(p: Point, q: Point) -> Line:
-    """The unique canonical Line through two distinct points."""
-    if p == q:
-        raise IdenticalPoints(f"cannot span a line from coincident points {p}")
-    a = q.y - p.y
-    b = p.x - q.x
-    c = q.x * p.y - p.x * q.y
-    d = lcm(a.denominator, b.denominator, c.denominator)
-    ai = a.numerator * (d // a.denominator)
-    bi = b.numerator * (d // b.denominator)
-    ci = c.numerator * (d // c.denominator)
-    g = gcd(ai, bi, ci)
-    ai, bi, ci = ai // g, bi // g, ci // g
-    if ai < 0 or (ai == 0 and bi < 0):
-        ai, bi, ci = -ai, -bi, -ci
-    return Line(ai, bi, ci)
 
 
 class ArrangementStats(Record):

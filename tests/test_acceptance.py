@@ -25,7 +25,6 @@ from pointline import (
     check_melchior,
     check_stt,
     compute_arrangement,
-    dirac_degree,
     h_of,
     tail_sum,
     x_of,
@@ -131,7 +130,7 @@ def test_acceptance_7_inequality_property_suite():
         beck = check_beck(st)
         if beck.binding_failures() or not beck.holds:
             failures.append((name, "beck"))
-        main = check_main(st, dirac_degree(ps))
+        main = check_main(st)
         degree_part = next(p for p in main.parts if p.name == "main-degree")
         if not degree_part.holds:
             failures.append((name, "main-degree"))

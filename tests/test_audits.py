@@ -20,7 +20,6 @@ from pointline import (
     check_stt,
     combine_reports,
     compute_arrangement,
-    dirac_degree,
     generate,
     tail_sum,
 )
@@ -104,8 +103,7 @@ def test_stt_all_levels_on_random_sample():
 
 
 def test_main():
-    ps3 = generate(GeneratorSpec.grid(3, 3))
-    rep = check_main(GRID3, dirac_degree(ps3))
+    rep = check_main(GRID3)
     assert rep.holds
     by_name = {p.name: p for p in rep.parts}
     assert by_name["main-degree"].lhs == 6
@@ -113,7 +111,7 @@ def test_main():
 
     # n = 100, l_max = 10 > 100/37: incidence sub-verdict not applicable
     ps10 = generate(GeneratorSpec.grid(10, 10))
-    rep = check_main(compute_arrangement(ps10), dirac_degree(ps10))
+    rep = check_main(compute_arrangement(ps10))
     by_name = {p.name: p for p in rep.parts}
     assert by_name["main-degree"].holds and by_name["main-degree"].preconditions_met
     assert not by_name["main-incidences"].preconditions_met
@@ -121,13 +119,13 @@ def test_main():
     assert rep.binding_failures() == []
 
     pencil = generate(GeneratorSpec.near_pencil(100))
-    rep = check_main(compute_arrangement(pencil), dirac_degree(pencil))
+    rep = check_main(compute_arrangement(pencil))
     by_name = {p.name: p for p in rep.parts}
     assert by_name["main-degree"].lhs == 99
     assert rep.holds
 
     with pytest.raises(CollinearInput):
-        check_main(COLLINEAR5, (0, 1))
+        check_main(COLLINEAR5)
 
 
 def test_beck():

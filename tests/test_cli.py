@@ -285,6 +285,15 @@ def test_generate_bad_arity_exit_2():
     assert proc.returncode == 2
 
 
+def test_generate_unwritable_out_exit_2(tmp_path):
+    for out in (tmp_path / "missing" / "x.txt", tmp_path):
+        proc = run_cli("generate", "grid", "3", "3", "--out", str(out))
+        assert proc.returncode == 2, out
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"cannot write {out}: ")
+        assert "Traceback" not in proc.stderr
+
+
 def test_search_cli():
     proc = run_cli("search", "--n", "3", "--extent", "2", "--iters", "10",
                    "--seed", "1", "--json")
@@ -298,6 +307,12 @@ def test_search_cli():
 def test_search_domain_error_exit_5():
     proc = run_cli("search", "--n", "10", "--extent", "2", "--iters", "10", "--seed", "1")
     assert proc.returncode == 5
+    # 10 restarts over C(2000, 2) pairs: refused before any work is done
+    proc = run_cli("search", "--n", "2000", "--extent", "3000", "--iters", "10",
+                   "--seed", "1", timeout=10)
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert "the cap is 1000000" in proc.stderr
 
 
 def test_search_validation_exit_2():
@@ -472,6 +487,10 @@ def test_each_command_imports_only_its_modules(tmp_path):
                         tmp_path=tmp_path)
     assert {"pointline.geometry", "pointline.pointfile"} <= analyze
     assert not analyze & {"pointline.audits", "pointline.constants", "pointline.generators"}
+    # only a JSON document is hashed
+    human = _imported("-m", "pointline", "constants", "--c", "71", "--mode", "dirac",
+                      tmp_path=tmp_path)
+    assert not human & {"hashlib", "_hashlib"}
     bare = _imported("-c", "import pointline", tmp_path=tmp_path)
     assert "pointline" in bare
     assert not {m for m in bare if m.startswith("pointline.")}

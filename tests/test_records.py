@@ -106,7 +106,7 @@ def test_records_survive_copy_and_pickle():
 
 
 def test_every_public_name_resolves():
-    assert len(pointline.__all__) == len(set(pointline.__all__)) == 55
+    assert len(pointline.__all__) == len(set(pointline.__all__)) == 51
     for name in pointline.__all__:
         assert getattr(pointline, name) is not None, name
     assert pointline.Interval is Interval
