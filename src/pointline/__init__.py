@@ -51,7 +51,6 @@ _EXPORTS = {
     ),
     "generators": (
         "RNG_ALGORITHM",
-        "GeneratorSpec",
         "SearchResult",
         "SplitMix64",
         "generate",

@@ -416,26 +416,11 @@ def _emit_constants(args, payload) -> None:
 
 
 def _cmd_generate(args) -> int:
-    from .generators import GeneratorSpec, generate
+    from .generators import generate
     from .pointfile import format_points
 
-    sizes = args.sizes
     try:
-        if args.kind == "grid":
-            if len(sizes) != 2:
-                raise _CliFailure(EXIT_PARSE, "grid takes two sizes: WIDTH HEIGHT")
-            spec = GeneratorSpec.grid(sizes[0], sizes[1])
-        elif args.kind == "random_grid":
-            if len(sizes) != 1:
-                raise _CliFailure(EXIT_PARSE, "random_grid takes one size: N")
-            if args.extent is None or args.seed is None:
-                raise _CliFailure(EXIT_PARSE, "random_grid requires --extent and --seed")
-            spec = GeneratorSpec.random_grid(sizes[0], args.extent, args.seed)
-        else:
-            if len(sizes) != 1:
-                raise _CliFailure(EXIT_PARSE, f"{args.kind} takes one size: N")
-            spec = GeneratorSpec(kind=args.kind, n=sizes[0])
-        ps = generate(spec)
+        ps = generate(args.kind, *args.sizes, extent=args.extent, seed=args.seed)
     except ValueError as exc:
         raise _CliFailure(EXIT_PARSE, str(exc)) from None
     except GenerationFailed as exc:

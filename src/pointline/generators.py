@@ -1,8 +1,10 @@
 """Deterministic configuration generators and a degree-minimizing search.
 
-Randomness comes from an in-package SplitMix64 stream so that every result
-is reproducible bit-for-bit across platforms and runs; the algorithm name
-travels with search results.
+generate(kind, *sizes, extent=None, seed=None) builds each of KINDS and
+owns every rule on its arguments; the generate command passes its
+arguments through unchanged. Randomness comes from an in-package
+SplitMix64 stream so that every result is reproducible bit-for-bit across
+platforms and runs; the algorithm name travels with search results.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ _MASK64 = (1 << 64) - 1
 
 KINDS = ("grid", "near_pencil", "collinear", "parabola", "random_grid")
 
-# Largest point count generate() builds: W*H for a grid, n for every other kind.
+# Largest point count generate() builds: WIDTH * HEIGHT for
+# generate("grid", WIDTH, HEIGHT), N for generate(kind, N) of every other kind.
 MAX_POINTS = 10**6
 
 # Largest amount of work search_min_dirac() takes on, in units of about a
@@ -43,9 +46,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform draw from 0..bound-1 by rejection; no modulo bias."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """Uniform draw from 0..bound-1 by rejection; no modulo bias.
+        bound is at most 2^64, the number of values a draw can take."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in 1..2^64, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_u64()
@@ -53,83 +57,74 @@ class SplitMix64:
                 return u % bound
 
 
-class GeneratorSpec(Record):
-    """A named configuration recipe; build one via the classmethods."""
+def generate(kind: str, *sizes: int, extent: int | None = None,
+             seed: int | None = None) -> PointSet:
+    """The configuration of one of KINDS. Deterministic: equal arguments
+    give equal point sets.
 
-    kind: str
-    n: int | None = None
-    width: int | None = None
-    height: int | None = None
-    extent: int | None = None
-    seed: int | None = None
+    - grid WIDTH HEIGHT: the integer grid {0..WIDTH-1} x {0..HEIGHT-1}.
+    - near_pencil N: N - 1 points on a line and one off it (N >= 3).
+    - collinear N: N points on a line (N >= 1).
+    - parabola N: (i, i^2) for i < N, no three collinear (N >= 1).
+    - random_grid N: N distinct cells of {0..extent}^2 drawn from
+      SplitMix64(seed); extent and seed are required, 0 <= extent < 2^64.
 
-    @classmethod
-    def grid(cls, width: int, height: int) -> "GeneratorSpec":
-        return cls(kind="grid", width=width, height=height)
-
-    @classmethod
-    def near_pencil(cls, n: int) -> "GeneratorSpec":
-        return cls(kind="near_pencil", n=n)
-
-    @classmethod
-    def collinear(cls, n: int) -> "GeneratorSpec":
-        return cls(kind="collinear", n=n)
-
-    @classmethod
-    def parabola(cls, n: int) -> "GeneratorSpec":
-        return cls(kind="parabola", n=n)
-
-    @classmethod
-    def random_grid(cls, n: int, extent: int, seed: int) -> "GeneratorSpec":
-        return cls(kind="random_grid", n=n, extent=extent, seed=seed)
-
-
-def generate(spec: GeneratorSpec) -> PointSet:
-    """Materialize a spec. Deterministic: equal specs give equal point sets.
-
-    Raises GenerationFailed, before building anything, when the spec asks
-    for more than MAX_POINTS points.
+    The checks run in this order, so a request that breaks several rules
+    gets the first one's error: the kind; the number of sizes; random_grid's
+    extent and seed; grid width and height >= 1; the MAX_POINTS cap,
+    before anything is built; the kind's own minimum n, then random_grid's
+    extent range and room on its grid. The cap and a random_grid that
+    cannot be placed raise GenerationFailed, every other rule ValueError.
     """
-    if spec.kind == "grid":
-        if not (spec.width and spec.height and spec.width >= 1 and spec.height >= 1):
+    if kind not in KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if kind == "grid":
+        if len(sizes) != 2:
+            raise ValueError("grid takes two sizes: WIDTH HEIGHT")
+    elif len(sizes) != 1:
+        raise ValueError(f"{kind} takes one size: N")
+    if kind == "random_grid" and (extent is None or seed is None):
+        raise ValueError("random_grid requires --extent and --seed")
+    if kind == "grid":
+        width, height = sizes
+        if width < 1 or height < 1:
             raise ValueError("grid needs width >= 1 and height >= 1")
-        count = spec.width * spec.height
+        count = width * height
     else:
-        count = spec.n or 0
+        (count,) = sizes
     if count > MAX_POINTS:
         raise GenerationFailed(f"{count} points requested; the cap is {MAX_POINTS}")
-    if spec.kind == "grid":
-        return PointSet.from_coords(
-            (x, y) for x in range(spec.width) for y in range(spec.height)
-        )
-    if spec.kind == "near_pencil":
-        if spec.n is None or spec.n < 3:
+    if kind == "grid":
+        return PointSet.from_coords((x, y) for x in range(width) for y in range(height))
+    n = count
+    if kind == "random_grid":
+        return _random_grid(n, extent, seed)
+    if kind == "near_pencil":
+        if n < 3:
             raise ValueError("near_pencil needs n >= 3")
-        coords = [(i, 0) for i in range(spec.n - 1)]
-        coords.append((0, 1))
-        return PointSet.from_coords(coords)
-    if spec.kind == "collinear":
-        if spec.n is None or spec.n < 1:
-            raise ValueError("collinear needs n >= 1")
-        return PointSet.from_coords((i, 0) for i in range(spec.n))
-    if spec.kind == "parabola":
-        if spec.n is None or spec.n < 1:
-            raise ValueError("parabola needs n >= 1")
-        return PointSet.from_coords((i, i * i) for i in range(spec.n))
-    if spec.kind == "random_grid":
-        if spec.n is None or spec.extent is None or spec.seed is None:
-            raise ValueError("random_grid needs n, extent and seed")
-        return _random_grid(spec.n, spec.extent, spec.seed)
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+        return PointSet.from_coords([(i, 0) for i in range(n - 1)] + [(0, 1)])
+    if n < 1:
+        raise ValueError(f"{kind} needs n >= 1")
+    if kind == "collinear":
+        return PointSet.from_coords((i, 0) for i in range(n))
+    return PointSet.from_coords((i, i * i) for i in range(n))
+
+
+def _grid_side(n: int, extent: int) -> int:
+    """The side of the grid {0..extent}^2, once it holds n distinct points
+    and SplitMix64.below can draw a coordinate on it."""
+    side = extent + 1
+    if side > 1 << 64:
+        raise ValueError(f"need extent < 2^64, got {extent}")
+    if n > side * side:
+        raise GenerationFailed(f"cannot place {n} distinct points on a {side}x{side} grid")
+    return side
 
 
 def _random_grid(n: int, extent: int, seed: int) -> PointSet:
     if n < 1 or extent < 0:
         raise ValueError("random_grid needs n >= 1 and extent >= 0")
-    side = extent + 1
-    if n > side * side:
-        raise GenerationFailed(f"cannot place {n} distinct points on a {side}x{side} grid")
-    cells = _draw_cells(SplitMix64(seed), n, side)
+    cells = _draw_cells(SplitMix64(seed), n, _grid_side(n, extent))
     if len(cells) < n:
         raise GenerationFailed(f"retry budget exhausted at {len(cells)}/{n} points")
     return PointSet.from_coords(cells)
@@ -217,9 +212,8 @@ class _Climb:
         self.degree = degree
 
 
-def _sample_start(rng: SplitMix64, n: int, extent: int) -> _Climb:
+def _sample_start(rng: SplitMix64, n: int, side: int) -> _Climb:
     """A distinct, non-collinear starting configuration."""
-    side = extent + 1
     for _ in range(4096):
         pts = sorted(_draw_cells(rng, n, side))
         if len(pts) == n:
@@ -265,9 +259,7 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
         raise ValueError(f"need extent >= 2, got {extent}")
     if iterations < 1:
         raise ValueError(f"need iterations >= 1, got {iterations}")
-    side = extent + 1
-    if n > side * side:
-        raise GenerationFailed(f"cannot place {n} distinct points on a {side}x{side} grid")
+    side = _grid_side(n, extent)
     restart_len = max(1, iterations // 10)
     restarts = -(-iterations // restart_len)
     work = restarts * comb(n, 2) + iterations * (n + 10)
@@ -284,7 +276,7 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
     while consumed < iterations:
         budget = min(restart_len, iterations - consumed)
         rng = SplitMix64(seed ^ restart)
-        climb = _sample_start(rng, n, extent)
+        climb = _sample_start(rng, n, side)
         for _ in range(budget):
             for _attempt in range(64):
                 idx = rng.below(n)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from pointline import GeneratorSpec, PointSet, generate
+from pointline import PointSet, generate
 from pointline.generators import SplitMix64, _draw_cells
 from pointline.geometry import direction_classes
 
@@ -158,14 +158,14 @@ def build_corpus() -> list[tuple[str, PointSet]]:
     seeded random grid samples with n <= 40."""
     corpus = []
     for side in range(2, 8):
-        corpus.append((f"grid-{side}x{side}", generate(GeneratorSpec.grid(side, side))))
+        corpus.append((f"grid-{side}x{side}", generate("grid", side, side)))
     for n in range(4, 31):
-        corpus.append((f"near-pencil-{n}", generate(GeneratorSpec.near_pencil(n))))
+        corpus.append((f"near-pencil-{n}", generate("near_pencil", n)))
     for n in range(3, 31):
-        corpus.append((f"parabola-{n}", generate(GeneratorSpec.parabola(n))))
+        corpus.append((f"parabola-{n}", generate("parabola", n)))
     for seed in range(1, 101):
         n = 3 + (seed * 7) % 38  # 3..40, deterministic spread
-        ps = generate(GeneratorSpec.random_grid(n=n, extent=25, seed=seed))
+        ps = generate("random_grid", n, extent=25, seed=seed)
         corpus.append((f"random-n{n}-seed{seed}", ps))
     return corpus
 

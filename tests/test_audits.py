@@ -7,7 +7,6 @@ from pointline import (
     BadCutoff,
     BadEps,
     CollinearInput,
-    GeneratorSpec,
     PipelineParams,
     PointSet,
     PreconditionViolated,
@@ -25,13 +24,13 @@ from pointline import (
 )
 
 
-def stats_of(spec):
-    return compute_arrangement(generate(spec))
+def stats_of(kind, *sizes, **kw):
+    return compute_arrangement(generate(kind, *sizes, **kw))
 
 
-GRID3 = stats_of(GeneratorSpec.grid(3, 3))
-GRID5 = stats_of(GeneratorSpec.grid(5, 5))
-COLLINEAR5 = stats_of(GeneratorSpec.collinear(5))
+GRID3 = stats_of("grid", 3, 3)
+GRID5 = stats_of("grid", 5, 5)
+COLLINEAR5 = stats_of("collinear", 5)
 TRIANGLE = compute_arrangement(PointSet.from_coords([(0, 0), (1, 0), (0, 1)]))
 
 
@@ -40,7 +39,7 @@ def test_melchior():
     assert (rep.lhs, rep.rhs, rep.holds, rep.preconditions_met) == (12, 3, True, True)
     assert rep.slack == 9
 
-    para = stats_of(GeneratorSpec.parabola(7))
+    para = stats_of("parabola", 7)
     rep = check_melchior(para)
     assert rep.lhs == math.comb(7, 2)
     assert rep.rhs == 3
@@ -61,7 +60,7 @@ def test_hirzebruch():
     assert (rep.lhs, rep.rhs) == (120, 37)
     assert rep.holds and rep.preconditions_met
 
-    pencil = stats_of(GeneratorSpec.near_pencil(5))  # l_max = 4 > n - 3
+    pencil = stats_of("near_pencil", 5)  # l_max = 4 > n - 3
     rep = check_hirzebruch(pencil)
     assert not rep.preconditions_met
     assert rep.binding_failures() == []
@@ -97,7 +96,7 @@ def test_stt():
 
 
 def test_stt_all_levels_on_random_sample():
-    st = stats_of(GeneratorSpec.random_grid(n=30, extent=25, seed=9))
+    st = stats_of("random_grid", 30, extent=25, seed=9)
     for i in range(2, st.l_max + 1):
         assert check_stt(st, i, PipelineParams()).holds
 
@@ -110,7 +109,7 @@ def test_main():
     assert by_name["main-degree"].rhs == Fraction(9, 37)
 
     # n = 100, l_max = 10 > 100/37: incidence sub-verdict not applicable
-    ps10 = generate(GeneratorSpec.grid(10, 10))
+    ps10 = generate("grid", 10, 10)
     rep = check_main(compute_arrangement(ps10))
     by_name = {p.name: p for p in rep.parts}
     assert by_name["main-degree"].holds and by_name["main-degree"].preconditions_met
@@ -118,7 +117,7 @@ def test_main():
     assert "not applicable" in by_name["main-incidences"].note
     assert rep.binding_failures() == []
 
-    pencil = generate(GeneratorSpec.near_pencil(100))
+    pencil = generate("near_pencil", 100)
     rep = check_main(compute_arrangement(pencil))
     by_name = {p.name: p for p in rep.parts}
     assert by_name["main-degree"].lhs == 99
@@ -129,7 +128,7 @@ def test_main():
 
 
 def test_beck():
-    pencil6 = stats_of(GeneratorSpec.near_pencil(6))
+    pencil6 = stats_of("near_pencil", 6)
     rep = check_beck(pencil6)
     assert rep.holds
     by_name = {p.name: p for p in rep.parts}
@@ -140,7 +139,7 @@ def test_beck():
     assert (by_name["beck-few-line-count"].lhs,
             by_name["beck-few-line-count"].rhs) == (5, Fraction(3, 98))
 
-    para = stats_of(GeneratorSpec.parabola(9))
+    para = stats_of("parabola", 9)
     rep = check_beck(para)
     assert rep.holds
     by_name = {p.name: p for p in rep.parts}
@@ -186,7 +185,7 @@ def test_proof_trace_5x5():
 def test_proof_trace_no_large_class():
     # parabola: every subgraph edge count is tiny, so k = 3 exceeds
     # floor(eps * n) = 2 and the large class is empty
-    st = stats_of(GeneratorSpec.parabola(15))
+    st = stats_of("parabola", 15)
     tr = audit_proof_steps(st, c=8, eps=Fraction(1, 6), params=PipelineParams())
     assert tr.k == 3
     assert tr.k == int(Fraction(1, 6) * 15) + 1
@@ -199,7 +198,7 @@ def test_proof_trace_no_large_class():
 def test_proof_trace_overlapping_classes():
     # 10x10 grid at eps = 1/8: k = 5 < c = 8, so sizes 5..8 sit in both
     # ranges and the small class wins; the tally still covers every pair
-    st = stats_of(GeneratorSpec.grid(10, 10))
+    st = stats_of("grid", 10, 10)
     tr = audit_proof_steps(st, c=8, eps=Fraction(1, 8), params=PipelineParams())
     assert tr.k == 5
     assert (tr.small_pairs, tr.medium_pairs, tr.large_pairs) == (3816, 0, 1134)
@@ -211,7 +210,7 @@ def test_proof_trace_overlapping_classes():
 def test_proof_trace_pins_every_step_with_medium_levels():
     # 30x30 grid at c = 8, eps = 2/5: k = 11, so line sizes 9 and 10 are
     # the two medium levels; every step's lhs/rhs is pinned exactly
-    st = stats_of(GeneratorSpec.grid(30, 30))
+    st = stats_of("grid", 30, 30)
     c, n = 8, 900
     tr = audit_proof_steps(st, c=c, eps=Fraction(2, 5), params=PipelineParams())
     assert tr.k == 11
@@ -238,7 +237,7 @@ def test_proof_trace_pins_every_step_with_medium_levels():
 
 
 def test_proof_trace_domain_errors():
-    st = stats_of(GeneratorSpec.grid(10, 10))
+    st = stats_of("grid", 10, 10)
     with pytest.raises(PreconditionViolated):
         audit_proof_steps(st, c=8, eps=Fraction(1, 12), params=PipelineParams())
     with pytest.raises(BadEps):

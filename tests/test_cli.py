@@ -285,6 +285,45 @@ def test_generate_bad_arity_exit_2():
     assert proc.returncode == 2
 
 
+# Each rule generate enforces, with the message and exit code it gives
+# when that rule is the first one a request breaks.
+GENERATE_ERRORS = (
+    (("grid", "5"), 2, "grid takes two sizes: WIDTH HEIGHT"),
+    (("grid", "0", "5"), 2, "grid needs width >= 1 and height >= 1"),
+    (("near_pencil", "2"), 2, "near_pencil needs n >= 3"),
+    (("collinear", "0"), 2, "collinear needs n >= 1"),
+    (("parabola", "1", "2"), 2, "parabola takes one size: N"),
+    (("random_grid", "20"), 2, "random_grid requires --extent and --seed"),
+    (("random_grid", "20", "--extent", "50"), 2, "random_grid requires --extent and --seed"),
+    (("random_grid", "20", "--seed", "7"), 2, "random_grid requires --extent and --seed"),
+    (("random_grid", "0", "--extent", "2", "--seed", "1"), 2,
+     "random_grid needs n >= 1 and extent >= 0"),
+    (("random_grid", "3", "--extent", "-1", "--seed", "1"), 2,
+     "random_grid needs n >= 1 and extent >= 0"),
+    (("random_grid", "10", "--extent", "2", "--seed", "1"), 5,
+     "cannot place 10 distinct points on a 3x3 grid"),
+    (("near_pencil", "2000000"), 5, "2000000 points requested; the cap is 1000000"),
+)
+
+
+@pytest.mark.parametrize("args,code,message", GENERATE_ERRORS)
+def test_generate_error_contract(args, code, message):
+    proc = run_cli("generate", *args, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message + "\n")
+
+
+def test_extent_of_2_64_or_more_exits_2():
+    # A coordinate is drawn from 0..extent by one 64-bit draw, so extent
+    # must stay below 2^64; at 2^64 the request used to loop forever.
+    big = str(2**64)
+    for args in (("generate", "random_grid", "3", "--extent", big, "--seed", "1"),
+                 ("search", "--n", "5", "--extent", big, "--iters", "10", "--seed", "1")):
+        proc = run_cli(*args, timeout=10)
+        assert proc.returncode == 2, args
+        assert proc.stdout == ""
+        assert proc.stderr == f"need extent < 2^64, got {big}\n"
+
+
 def test_generate_unwritable_out_exit_2(tmp_path):
     for out in (tmp_path / "missing" / "x.txt", tmp_path):
         proc = run_cli("generate", "grid", "3", "3", "--out", str(out))

@@ -8,7 +8,6 @@ import pytest
 from conftest import reference_climb
 from pointline import (
     GenerationFailed,
-    GeneratorSpec,
     Point,
     compute_arrangement,
     dirac_degree,
@@ -40,25 +39,37 @@ def test_splitmix64_below_is_unbiased_range():
         rng.below(0)
 
 
+def test_extent_of_2_64_or_more_is_refused():
+    rng = SplitMix64(3)
+    assert 0 <= rng.below(2**64) < 2**64
+    with pytest.raises(ValueError):
+        rng.below(2**64 + 1)
+    assert generate("random_grid", 3, extent=2**64 - 1, seed=1).n == 3
+    with pytest.raises(ValueError, match=r"extent < 2\^64"):
+        generate("random_grid", 3, extent=2**64, seed=1)
+    with pytest.raises(ValueError, match=r"extent < 2\^64"):
+        search_min_dirac(n=5, extent=2**64, iterations=10, seed=1)
+
+
 def test_grid_order():
-    ps = generate(GeneratorSpec.grid(2, 3))
+    ps = generate("grid", 2, 3)
     assert [(p.x, p.y) for p in ps] == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     with pytest.raises(ValueError):
-        generate(GeneratorSpec.grid(0, 3))
+        generate("grid", 0, 3)
 
 
 def test_near_pencil():
-    ps = generate(GeneratorSpec.near_pencil(5))
+    ps = generate("near_pencil", 5)
     assert [(p.x, p.y) for p in ps] == [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)]
     assert dirac_degree(ps) == (4, 4)
     with pytest.raises(ValueError):
-        generate(GeneratorSpec.near_pencil(2))
+        generate("near_pencil", 2)
 
 
 def test_collinear_and_parabola():
-    ps = generate(GeneratorSpec.collinear(4))
+    ps = generate("collinear", 4)
     assert [(p.x, p.y) for p in ps] == [(0, 0), (1, 0), (2, 0), (3, 0)]
-    ps = generate(GeneratorSpec.parabola(6))
+    ps = generate("parabola", 6)
     assert [(p.x, p.y) for p in ps] == [(i, i * i) for i in range(6)]
     # no 3 points of a parabola are collinear
     st = compute_arrangement(ps)
@@ -67,26 +78,25 @@ def test_collinear_and_parabola():
 
 
 def test_random_grid():
-    spec = GeneratorSpec.random_grid(n=12, extent=9, seed=5)
-    ps = generate(spec)
+    ps = generate("random_grid", 12, extent=9, seed=5)
     assert ps.n == 12
     assert all(0 <= p.x <= 9 and 0 <= p.y <= 9 for p in ps)
-    assert generate(spec) == ps  # same spec, same set
-    other = generate(GeneratorSpec.random_grid(n=12, extent=9, seed=6))
+    assert generate("random_grid", 12, extent=9, seed=5) == ps  # same arguments, same set
+    other = generate("random_grid", 12, extent=9, seed=6)
     assert other != ps
     with pytest.raises(GenerationFailed):
-        generate(GeneratorSpec.random_grid(n=10, extent=2, seed=1))
+        generate("random_grid", 10, extent=2, seed=1)
     with pytest.raises(ValueError):
-        generate(GeneratorSpec.random_grid(n=0, extent=2, seed=1))
+        generate("random_grid", 0, extent=2, seed=1)
 
 
 def test_generate_caps_the_point_count():
     assert MAX_POINTS == 10**6
-    for spec in (GeneratorSpec.grid(100000, 100000), GeneratorSpec.grid(1000, 1001),
-                 GeneratorSpec.collinear(MAX_POINTS + 1),
-                 GeneratorSpec.random_grid(MAX_POINTS + 1, 10**4, 1)):
+    for args, kw in ((("grid", 100000, 100000), {}), (("grid", 1000, 1001), {}),
+                     (("collinear", MAX_POINTS + 1), {}),
+                     (("random_grid", MAX_POINTS + 1), {"extent": 10**4, "seed": 1})):
         with pytest.raises(GenerationFailed, match="cap"):
-            generate(spec)
+            generate(*args, **kw)
 
 
 def test_search_tiny():
@@ -213,6 +223,6 @@ def test_search_validation():
 
 
 def test_point_type_from_generators():
-    ps = generate(GeneratorSpec.grid(2, 2))
+    ps = generate("grid", 2, 2)
     assert isinstance(ps[0], Point)
     assert isinstance(ps[0].x, Fraction)

@@ -9,7 +9,6 @@ from conftest import oracle_arrangement, stats_as_dict
 from pointline import (
     CollinearInput,
     DuplicatePoints,
-    GeneratorSpec,
     Point,
     PointSet,
     compute_arrangement,
@@ -21,7 +20,7 @@ from pointline import (
 
 
 def grid(w, h):
-    return generate(GeneratorSpec.grid(w, h))
+    return generate("grid", w, h)
 
 
 def test_kernel_line_symmetry_and_membership():
@@ -112,7 +111,7 @@ def test_subgraph_edge_count():
 
 
 def test_dirac_degree():
-    w, d = dirac_degree(generate(GeneratorSpec.near_pencil(5)))
+    w, d = dirac_degree(generate("near_pencil", 5))
     assert (w, d) == (4, 4)  # the apex is the last generated point
     assert dirac_degree(grid(3, 3)) == (1, 6)
     w, d = dirac_degree(PointSet.from_coords([(0, 0), (1, 0), (0, 1)]))

@@ -1,10 +1,12 @@
 """Record and package semantics: the value types behave as frozen value
 objects, and the package resolves its public names on first use."""
 
+import ast
 import copy
 import importlib
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,6 @@ import pointline
 from pointline import (
     RNG_ALGORITHM,
     CheckReport,
-    GeneratorSpec,
     Interval,
     PipelineParams,
     Point,
@@ -33,7 +34,6 @@ def test_equal_values_give_equal_records_and_hashes():
         (Interval(1, 2), Interval(lo=Fraction(1), hi="2")),
         (PipelineParams(), PipelineParams(Fraction(103, 16), beta=Fraction(31827, 1024))),
         (_report(), CheckReport("melchior", True, True, 4, 3, 1, "", ())),
-        (GeneratorSpec.grid(2, 3), GeneratorSpec("grid", width=2, height=3)),
         (PointSet.from_coords([(0, 0), (1, 2)]), PointSet((Point(0, 0), Point(1, 2)))),
     )
     for a, b in pairs:
@@ -86,8 +86,6 @@ def test_construction_rejects_bad_arguments():
 def test_defaults_hold():
     report = _report()
     assert report.note == "" and report.parts == ()
-    spec = GeneratorSpec("parabola")
-    assert (spec.n, spec.width, spec.height, spec.extent, spec.seed) == (None,) * 5
     result = SearchResult(PointSet.from_coords([(0, 0)]), 1, Fraction(1), 10, 7)
     assert result.rng_algorithm == RNG_ALGORITHM
     assert PipelineParams().alpha == Fraction(103, 16)
@@ -106,11 +104,26 @@ def test_records_survive_copy_and_pickle():
 
 
 def test_every_public_name_resolves():
-    assert len(pointline.__all__) == len(set(pointline.__all__)) == 51
+    assert len(pointline.__all__) == len(set(pointline.__all__)) == 50
     for name in pointline.__all__:
         assert getattr(pointline, name) is not None, name
     assert pointline.Interval is Interval
     assert set(pointline.__all__) <= set(dir(pointline))
+
+
+def test_traced_benchmark_names_resolve():
+    # bench/trace_entry.py wraps each (module, function) pair its LAYERS
+    # dict lists, found by getattr; read it without importing the script.
+    path = Path(__file__).resolve().parent.parent / "bench" / "trace_entry.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (layers,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]]
+    pairs = [(module.id, name) for module, names in zip(layers.keys, layers.values)
+             for name in ast.literal_eval(names)]
+    assert len(pairs) > 20
+    for module, name in pairs:
+        assert callable(getattr(importlib.import_module(f"pointline.{module}"), name)), (
+            module, name)
 
 
 def test_submodules_resolve_as_attributes():
