@@ -469,6 +469,48 @@ def test_optimize_sweep_over_the_cap_exits_5_before_any_work():
         f"99999993 cutoffs requested in 8..100000000; the cap is {MAX_SWEEP_ROWS}\n")
 
 
+# sha256 of stdout for commands that exercise every stage of the constants
+# pipeline: long sweeps in both modes, fixed eps at a small and a huge
+# cutoff, narrow tail widths, and a proof trace. Evaluation may change how
+# each value is computed, never a byte of what is printed.
+CONSTANTS_SHA256 = {
+    ("constants", "--mode", "dirac", "--optimize", "--c-min", "8", "--c-max", "600", "--json"):
+        "16b463a5f945b3c968043f577c52ce7e2793f83e22c67fa3139d2b51e69016dd",
+    ("constants", "--mode", "beck", "--optimize", "--c-min", "8", "--c-max", "600", "--json"):
+        "757a0bb118f021a73699753bdfc1d0ffb064376d5c766e0beda8ab596b9c3ec6",
+    ("constants", "--c", "71", "--mode", "fixed-eps", "--eps", "1/37", "--json"):
+        "c371edf1e9f2826fd6613ac7ecd762e2c7ea35738edd13d01b618fcaf9a553fe",
+    ("constants", "--c", "401507", "--mode", "fixed-eps", "--eps", "1/45", "--json"):
+        "2d15d5c2485f6679ad03f4b86ed062d623ae4c59488572a66fa9e7d9c1b2a541",
+    ("constants", "--c", "78", "--mode", "beck", "--tail-width", "1/100000000000", "--json"):
+        "283f7934d7f0c98f1c94e656487fadfb6e0e5bffe882aa97df14b03c0fe73aa1",
+    ("constants", "--c", "71", "--mode", "dirac", "--tail-width", "1/1" + "0" * 100, "--json"):
+        "c6bbbea9243f1c56e7e8c6b8a27518389e65aa9fd46e7043d7354c8cffde7463",
+    ("verify", "CORPUS", "--check", "proof-trace", "--json"):
+        "11cfae2be5b230e7f1d628f82a06d4844c1c33a62ebf604a61d309e18d56581c",
+}
+
+
+def test_constants_output_is_pinned(tmp_path):
+    from pointline import format_points, generate
+
+    corpus = tmp_path / "random-n40-seed27.txt"
+    corpus.write_text(format_points(generate("random_grid", 40, extent=25, seed=27)))
+    for command, digest in CONSTANTS_SHA256.items():
+        argv = [str(corpus) if arg == "CORPUS" else arg for arg in command]
+        proc = subprocess.run(CMD + argv, capture_output=True)
+        assert proc.returncode == 0, command
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, command
+    for command, message in (
+        (("--c", "27", "--mode", "dirac"),
+         "no positive fixed point at c=27: 1 - (beta/2)*(mid + tail) <= 0"),
+        (("--c", "7", "--mode", "beck"), "cutoff must be >= 8, got 7"),
+        (("--c", "7", "--mode", "fixed-eps", "--eps", "1/2"), "eps must lie in (0, 1/2), got 1/2"),
+    ):
+        proc = run_cli("constants", *command, "--json")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (5, "", message + "\n"), command
+
+
 # sha256 of each --help text as argparse prints it at 80 columns. The
 # parsers are filled in lazily, per subcommand; the text must not change.
 HELP_SHA256 = {

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import count
 from math import comb
 
 import pytest
 
+from pointline import constants
 from pointline import (
     BadCutoff,
     BadEps,
@@ -278,3 +280,141 @@ def test_interval_type():
 
 def test_default_tail_width():
     assert DEFAULT_TAIL_WIDTH == Fraction(1, 10**9)
+
+
+# ---------------------------------------------------------------------------
+# Fraction-chain oracle. The library evaluates tail_sum, delta and the fixed
+# point as integer ratios reduced once; these are the same formulas written
+# step by step in Fraction arithmetic. Equal rationals have one reduced
+# form, so the two must agree exactly, NoSolution rows included.
+
+ORACLE_WIDTHS = tuple(Fraction(1, 10**k) for k in (3, 9, 10, 11, 40))
+ORACLE_CUTOFFS = (*range(8, 700), 1000, 5000, 104439, 401507)
+
+
+def oracle_tail(c, width):
+    """(lo, hi, n): the Euler-Maclaurin bracket [S_m, S_{m+1}] summed term by
+    term, and the n it settled on."""
+    n = max(c, 32)
+    while True:
+        s = sum((Fraction(i + 1, i**3) for i in range(c, n)), Fraction(0))
+        s += Fraction(1, n) + Fraction(1, 2 * n * n) + Fraction(n + 1, n**3) / 2
+        prev = None
+        for k in count(1):
+            t = constants._bernoulli(k) * Fraction(2 * n + 2 * k + 1, 2 * n ** (2 * k + 2))
+            if abs(t) <= width:
+                return (*sorted((s, s + t)), n)
+            if prev is not None and abs(t) >= abs(prev):
+                break
+            s, prev = s + t, t
+        n *= 2
+
+
+def oracle_delta(c, eps, tail_lo, tail_hi, params):
+    h = Fraction(c * (c - 2), 5 * c - 18)
+    mid = (c - h - 2) * (c + 1) / Fraction(c**3)
+    return tuple(
+        (1 - eps * params.alpha - params.beta / 2 * (mid + t)) / (h + 1)
+        for t in (tail_hi, tail_lo)
+    )
+
+
+def oracle_fixed_point(c, lam, tail_lo, tail_hi, params):
+    """(eps, (delta.lo, delta.hi)), or None where no positive fixed point exists."""
+    h = Fraction(c * (c - 2), 5 * c - 18)
+    mid = (c - h - 2) * (c + 1) / Fraction(c**3)
+    base = 1 - params.beta / 2 * (mid + tail_hi)
+    if base <= 0:
+        return None
+    b = 1 / (h + 1)
+    eps = lam * b * base / (1 + lam * params.alpha * b)
+    return eps, oracle_delta(c, eps, tail_lo, tail_hi, params)
+
+
+def _solved(c, params, mode, width):
+    try:
+        eps, delta = solve_fixed_point(c, params, mode, width)
+    except NoSolution:
+        return None
+    return eps, (delta.lo, delta.hi)
+
+
+def test_bernoulli_numbers():
+    assert [constants._bernoulli(k) for k in range(1, 7)] == [
+        Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+        Fraction(5, 66), Fraction(-691, 2730)]
+
+
+def test_integer_evaluation_matches_fraction_oracle():
+    params = PipelineParams()
+    lams = {"dirac": Fraction(1), "beck": Fraction(2, 3)}
+    unsolved = 0
+    for width in ORACLE_WIDTHS:
+        for c in ORACLE_CUTOFFS:
+            lo, hi, _n = oracle_tail(c, width)
+            tail = tail_sum(c, width)
+            assert (tail.lo, tail.hi) == (lo, hi), (c, width)
+            for mode, lam in lams.items():
+                want = oracle_fixed_point(c, lam, lo, hi, params)
+                assert _solved(c, params, mode, width) == want, (c, width, mode)
+                unsolved += want is None
+            if c % 50 == 0 or c > 700:
+                for eps in (Fraction(1, 37), Fraction(1, 45)):
+                    bd = delta_of(c, eps, params, width)
+                    assert (bd.delta.lo, bd.delta.hi) == oracle_delta(c, eps, lo, hi, params)
+    assert unsolved > 0  # the grid reaches the NoSolution rows of both modes
+
+
+def test_integer_evaluation_matches_oracle_off_the_default_grid():
+    # c < 32 adds a partial sum to the bracket; c < 8 is tail_sum's alone
+    for c in range(2, 32):
+        for width in (Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**40)):
+            lo, hi, _n = oracle_tail(c, width)
+            assert tail_sum(c, width) == Interval(lo, hi), (c, width)
+    # a width narrow enough that the expansion diverges at n = 32 and n doubles
+    for c in (8, 20, 32):
+        lo, hi, n = oracle_tail(c, MIN_TAIL_WIDTH)
+        assert n > max(c, 32)
+        assert tail_sum(c, MIN_TAIL_WIDTH) == Interval(lo, hi)
+    # other crossing-lemma constants, including alpha = 0
+    for params in (PipelineParams(alpha=0), PipelineParams(Fraction(7, 3), Fraction(101, 4))):
+        for c in (8, 28, 67, 71, 300):
+            lo, hi, _n = oracle_tail(c, DEFAULT_TAIL_WIDTH)
+            for mode, lam in (("dirac", Fraction(1)), ("beck", Fraction(2, 3))):
+                assert _solved(c, params, mode, DEFAULT_TAIL_WIDTH) == oracle_fixed_point(
+                    c, lam, lo, hi, params), (c, params, mode)
+            bd = delta_of(c, Fraction(1, 37), params)
+            assert (bd.delta.lo, bd.delta.hi) == oracle_delta(c, Fraction(1, 37), lo, hi, params)
+    # beck_constant from the oracle's beck fixed point
+    for c in (37, 67, 78, 592):
+        lo, hi, _n = oracle_tail(c, DEFAULT_TAIL_WIDTH)
+        eps, (d_lo, d_hi) = oracle_fixed_point(c, Fraction(2, 3), lo, hi, PipelineParams())
+        assert beck_constant(c) == Interval(min(eps / 2, d_lo / 3), min(eps / 2, d_hi / 3))
+
+
+def test_delta_of_breakdown_matches_fraction_oracle():
+    for c in (8, 31, 71, 104439):
+        bd = delta_of(c, Fraction(1, 37))
+        h = Fraction(c * (c - 2), 5 * c - 18)
+        assert bd.h == h
+        assert bd.y == c - h - 2
+        assert bd.mid_term == (c - h - 2) * (c + 1) / Fraction(c**3)
+
+
+def test_sweep_calls_each_layer_once_per_row(monkeypatch):
+    # The traced benchmark counts and times tail_sum and solve_fixed_point
+    # through the module namespace; a sweep must keep calling both there.
+    calls = {"tail_sum": 0, "solve_fixed_point": 0}
+    for name in calls:
+        original = getattr(constants, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(constants, name, counted)
+    rows = list(sweep_fixed_points(20, 40, mode="beck"))
+    assert len(rows) == 21 and any(eps is None for _, eps, _ in rows)
+    assert calls == {"tail_sum": 21, "solve_fixed_point": 21}
+    optimize_c(60, 75, mode="dirac")
+    assert calls == {"tail_sum": 37, "solve_fixed_point": 37}
