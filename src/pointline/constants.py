@@ -96,10 +96,6 @@ class Interval(Record):
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, value) -> bool:
-        v = Fraction(value)
-        return self.lo <= v <= self.hi
-
 
 class DeltaBreakdown(Record):
     """Every intermediate of one delta evaluation, for reports and audits."""
@@ -361,13 +357,13 @@ def best_cutoff(
     rows: Iterable[tuple[int, Fraction | None, Interval | None]],
 ) -> tuple[int, tuple[Fraction, Interval]]:
     """The row of a sweep_fixed_points sweep with the largest delta.lo;
-    ties go to the smaller c. Raises NoSolution if no row has a fixed point."""
+    ties go to the smaller c. Raises NoSolution if no row has a fixed point,
+    an empty sweep included."""
     rows = list(rows)
     solved = [row for row in rows if row[2] is not None]
     if not solved:
-        raise NoSolution(
-            f"no cutoff in {rows[0][0]}..{rows[-1][0]} admits a positive fixed point"
-        )
+        span = f" in {rows[0][0]}..{rows[-1][0]}" if rows else ""
+        raise NoSolution(f"no cutoff{span} admits a positive fixed point")
     c, eps, delta = max(solved, key=lambda row: row[2].lo)
     return c, (eps, delta)
 

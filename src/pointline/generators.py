@@ -9,12 +9,13 @@ platforms and runs; the algorithm name travels with search results.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
 from ._record import Record
 from .errors import GenerationFailed
-from .geometry import PointSet, direction_classes
+from .geometry import PointSet, _directions
 
 _MASK64 = (1 << 64) - 1
 
@@ -144,15 +145,23 @@ def _draw_cells(rng: SplitMix64, n: int, side: int) -> list[tuple[int, int]]:
 class _Climb:
     """One restart's configuration with its direction classes kept live.
 
-    classes equals direction_classes(pts) at all times: it is built once,
-    and an accepted move updates it in O(n), so a proposal is scored
-    without recomputing the arrangement. occupied is set(pts).
+    classes[j] maps each direction from point j, reduced as in
+    geometry._directions, to the number of other points on the line
+    through j that way. It is built once, from each point's directions to
+    the points after it, and an accepted move updates it in O(n), so a
+    proposal is scored without recomputing the arrangement. The classes
+    are plain dicts, whose subscripts CPython specialises. occupied is
+    set(pts).
     """
 
     def __init__(self, pts: list[tuple[int, int]]):
         self.pts = pts
         self.occupied = set(pts)
-        self.classes = direction_classes(pts)
+        # each pair is reduced once, from its earlier point; the direction
+        # from j back to an earlier i is later[i][j - i - 1]
+        later = [_directions(p, pts[j + 1:]) for j, p in enumerate(pts)]
+        self.classes = [dict(Counter([later[i][j - i - 1] for i in range(j)] + later[j]))
+                        for j in range(len(pts))]
         self.degree = max(len(at_j) for at_j in self.classes)
 
     def score(self, idx: int, cell: tuple[int, int]) -> tuple[int, list]:
@@ -161,10 +170,12 @@ class _Climb:
         state is unchanged.
 
         A key is the reduced direction from j to the moved point, signed as
-        in direction_classes. When the two keys differ, j loses a line if
+        in geometry._directions. When the two keys differ, j loses a line if
         its old class holds only the moved point and gains one if it has no
         class for the new key; the moved point lies on one line per
-        distinct new key.
+        distinct new key. Both reductions stay inline, the hot loop of the
+        search: routing them through geometry._directions builds two more
+        lists per proposal and measured up to 10% slower at n = 100.
         """
         ox, oy = self.pts[idx]
         cx, cy = cell

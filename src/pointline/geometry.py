@@ -6,8 +6,10 @@ rounded bit would move lines between histogram buckets, so no floating
 point is allowed anywhere in this module.
 
 The arrangement kernel scales all coordinates once to their common
-denominator, which keeps every collinear triple, and groups the pairs at
-each point by their gcd-reduced integer direction: one group per line.
+denominator, which keeps every collinear triple. It then walks the points
+in order and groups the points after each one by their gcd-reduced integer
+direction (_directions), one group per line, holding one point's groups at
+a time: O(n^2) time, O(n) memory.
 
 All functions are pure; callers may fan work out over configurations
 freely.
@@ -98,30 +100,24 @@ class ArrangementStats(Record):
     dirac_witness: int | None
 
 
-def direction_classes(pts: Sequence[tuple[int, int]]) -> list[dict[tuple[int, int], int]]:
-    """For each of the distinct integer points, the lines through it.
+def _directions(anchor: tuple[int, int],
+                others: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The reduced direction from anchor to each of others, in order.
 
-    classes[i] maps each reduced direction (dx, dy), with dx > 0 or
-    dx == 0 < dy, to the number of other points on the line through point
-    i in that direction. Each pair i < j is visited once and counted at
-    both ends, so a line of k points is a class of size k - 1 at each of
-    its k members.
+    The direction of (dx, dy) is (dx/g, dy/g) for g = gcd(dx, dy), signed
+    so that dx > 0 or dx == 0 < dy. Two others share a direction exactly
+    when they lie on one line through anchor, on either side of it. No
+    other may equal anchor.
     """
-    n = len(pts)
-    classes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-    for i, (px, py) in enumerate(pts):
-        at_i = classes[i]
-        for j in range(i + 1, n):
-            qx, qy = pts[j]
-            dx, dy = qx - px, qy - py
-            g = gcd(dx, dy)
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            key = (dx // g, dy // g)
-            at_i[key] = at_i.get(key, 0) + 1
-            at_j = classes[j]
-            at_j[key] = at_j.get(key, 0) + 1
-    return classes
+    px, py = anchor
+    keys = []
+    for qx, qy in others:
+        dx, dy = qx - px, qy - py
+        g = gcd(dx, dy)
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        keys.append((dx // g, dy // g))
+    return keys
 
 
 def _integer_coords(ps: PointSet) -> list[tuple[int, int]]:
@@ -134,16 +130,32 @@ def _integer_coords(ps: PointSet) -> list[tuple[int, int]]:
 
 
 def compute_arrangement(ps: PointSet) -> ArrangementStats:
-    """Histogram the lines of a point set from its direction classes.
+    """Histogram the lines of a point set, one anchor at a time.
 
-    O(n^2) pairs on integers. A line of k points is a class of size k - 1
-    at each of its k members, so s_k is the number of such classes over k.
-    Point sets with n < 2 determine no lines and yield all-zero statistics.
+    Anchor i groups only the points after it by direction: its forward
+    classes. A line of k points has one forward class of each size
+    1..k-1, at its first k-1 points in index order, so with N_m the number
+    of forward classes of size m, s_k = N_(k-1) - N_k. Point i lies on one
+    line per forward class, plus one per line on which it comes last; such
+    a line's class of size 1 sits at its second-to-last point and holds i.
+    O(n^2) pairs on integers, one anchor's classes held at a time: O(n)
+    memory. Point sets with n < 2 determine no lines and yield all-zero
+    statistics.
     """
-    classes = direction_classes(_integer_coords(ps))
-    tally = Counter(size for at_i in classes for size in at_i.values())
-    s = {k + 1: tally[k] // (k + 1) for k in sorted(tally)}
-    degrees = [len(at_i) for at_i in classes]
+    pts = _integer_coords(ps)
+    n = len(pts)
+    sizes: Counter[int] = Counter()
+    degrees = [0] * n
+    for i in range(n - 1):
+        keys = _directions(pts[i], pts[i + 1:])
+        forward = Counter(keys)
+        sizes.update(forward.values())
+        degrees[i] += len(forward)
+        last = dict(zip(keys, range(i + 1, n)))
+        for key, size in forward.items():
+            if size == 1:
+                degrees[last[key]] += 1
+    s = {m + 1: sizes[m] - sizes[m + 1] for m in sorted(sizes) if sizes[m] > sizes[m + 1]}
     degree = max(degrees, default=0)
     return ArrangementStats(
         n=ps.n,

@@ -24,7 +24,7 @@ import pytest
 
 from pointline import PointSet, generate
 from pointline.generators import SplitMix64, _draw_cells
-from pointline.geometry import direction_classes
+from pointline.geometry import _directions
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -96,7 +96,7 @@ def oracle_arrangement(coords) -> dict:
 
 
 def _max_degree(pts) -> int:
-    return max(len(at_i) for at_i in direction_classes(pts))
+    return max(len(set(_directions(p, pts[:i] + pts[i + 1:]))) for i, p in enumerate(pts))
 
 
 def reference_climb(n: int, extent: int, iterations: int, seed: int):

@@ -445,13 +445,13 @@ def test_verify_runs_the_kernel_once(tmp_path, monkeypatch, capsys):
     from pointline import cli, geometry
 
     calls = []
-    kernel = geometry.direction_classes
+    kernel = geometry.compute_arrangement
 
-    def counting(pts):
-        calls.append(len(pts))
-        return kernel(pts)
+    def counting(ps):
+        calls.append(ps.n)
+        return kernel(ps)
 
-    monkeypatch.setattr(geometry, "direction_classes", counting)
+    monkeypatch.setattr(geometry, "compute_arrangement", counting)
     assert cli.main(["verify", write_grid(tmp_path, side=4), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert [c["name"] for c in payload["checks"]][4] == "main"

@@ -16,7 +16,6 @@ from pointline import (
 )
 from pointline import generators
 from pointline.generators import MAX_POINTS, RNG_ALGORITHM, SplitMix64
-from pointline.geometry import direction_classes
 
 
 def test_splitmix64_reference_vectors():
@@ -169,7 +168,7 @@ def test_climb_classes_stay_live(monkeypatch):
     def checked(climb, idx, cell, degree, rekeys):
         accept(climb, idx, cell, degree, rekeys)
         assert climb.pts[idx] == cell
-        assert climb.classes == direction_classes(climb.pts)
+        assert climb.classes == generators._Climb(list(climb.pts)).classes
         assert climb.occupied == set(climb.pts)
         assert climb.degree == max(len(at_j) for at_j in climb.classes)
         accepted.append(idx)
@@ -182,15 +181,17 @@ def test_climb_classes_stay_live(monkeypatch):
 
 def test_proposals_do_not_recompute_the_kernel(monkeypatch):
     calls = []
+    directions = generators._directions
 
-    def counting(pts):
-        calls.append(len(pts))
-        return direction_classes(pts)
+    def counting(anchor, others):
+        calls.append(len(others))
+        return directions(anchor, others)
 
-    monkeypatch.setattr(generators, "direction_classes", counting)
+    monkeypatch.setattr(generators, "_directions", counting)
     res = search_min_dirac(n=12, extent=11, iterations=3000, seed=42)
-    # one kernel call per restart, to build its start; 3000 proposals add none
-    assert calls == [12] * 10
+    # each restart builds its start's classes from 12 anchors, each over the
+    # points after it; 3000 proposals add no call
+    assert calls == list(range(11, -1, -1)) * 10
     assert res.iterations_run == 3000
 
 

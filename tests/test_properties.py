@@ -19,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import reference_climb  # noqa: E402
 from pointline import PointSet, compute_arrangement, search_min_dirac  # noqa: E402
-from pointline.geometry import _integer_coords, direction_classes  # noqa: E402
+from pointline.geometry import _directions, _integer_coords  # noqa: E402
 from pointline.pointfile import format_points, parse_points  # noqa: E402
 
 
@@ -49,8 +49,10 @@ def affine_maps(draw):
 
 
 def degrees(ps):
-    """Lines through each point, in point order."""
-    return [len(at_i) for at_i in direction_classes(_integer_coords(ps))]
+    """Lines through each point, in point order: its distinct directions to
+    all the other points."""
+    pts = _integer_coords(ps)
+    return [len(set(_directions(p, pts[:i] + pts[i + 1:]))) for i, p in enumerate(pts)]
 
 
 def histogram(stats):
@@ -91,8 +93,14 @@ def test_permutations_keep_the_arrangement(drawn):
 @fixed(8)
 @given(point_sets(100, 300, 25))
 def test_pairs_partition_into_lines(coords):
-    stats = compute_arrangement(PointSet.from_coords(coords))
+    ps = PointSet.from_coords(coords)
+    stats = compute_arrangement(ps)
     assert sum(comb(i, 2) * si for i, si in stats.s.items()) == comb(len(coords), 2)
+    # the kernel counts a point's lines from its forward classes plus the
+    # lines it ends; each point's distinct directions count them directly
+    per_point = degrees(ps)
+    assert stats.dirac_degree == max(per_point)
+    assert stats.dirac_witness == per_point.index(stats.dirac_degree)
 
 
 big_rationals = st.builds(
