@@ -148,10 +148,12 @@ class _Climb:
     classes[j] maps each direction from point j, reduced as in
     geometry._directions, to the number of other points on the line
     through j that way. It is built once, from each point's directions to
-    the points after it, and an accepted move updates it in O(n), so a
-    proposal is scored without recomputing the arrangement. The classes
-    are plain dicts, whose subscripts CPython specialises. occupied is
-    set(pts).
+    the points after it, by geometry._directions on (x, y, 1) triples.
+    score reduces plain integer differences inline, which gives the same
+    keys because every D is 1. An accepted move updates the classes in
+    O(n), so a proposal is scored without recomputing the arrangement.
+    The classes are plain dicts, whose subscripts CPython specialises.
+    occupied is set(pts).
     """
 
     def __init__(self, pts: list[tuple[int, int]]):
@@ -159,7 +161,8 @@ class _Climb:
         self.occupied = set(pts)
         # each pair is reduced once, from its earlier point; the direction
         # from j back to an earlier i is later[i][j - i - 1]
-        later = [_directions(p, pts[j + 1:]) for j, p in enumerate(pts)]
+        hom = [(x, y, 1) for x, y in pts]
+        later = [_directions(h, hom[j + 1:]) for j, h in enumerate(hom)]
         self.classes = [dict(Counter([later[i][j - i - 1] for i in range(j)] + later[j]))
                         for j in range(len(pts))]
         self.degree = max(len(at_j) for at_j in self.classes)

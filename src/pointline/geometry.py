@@ -5,11 +5,13 @@ arbitrary-precision int). Collinearity is a discrete property: a single
 rounded bit would move lines between histogram buckets, so no floating
 point is allowed anywhere in this module.
 
-The arrangement kernel scales all coordinates once to their common
-denominator, which keeps every collinear triple. It then walks the points
-in order and groups the points after each one by their gcd-reduced integer
+The arrangement kernel writes each point in homogeneous integer
+coordinates (X, Y, D), D > 0 the lcm of its own two denominators, so no
+number grows with the rest of the set. It then walks the points in order
+and groups the points after each one by their gcd-reduced integer
 direction (_directions), one group per line, holding one point's groups at
-a time: O(n^2) time, O(n) memory.
+a time: O(n^2) pairs, each on integers at most four times as wide as the
+widest input numerator or denominator, and O(n) memory.
 
 All functions are pure; callers may fan work out over configurations
 freely.
@@ -100,19 +102,24 @@ class ArrangementStats(Record):
     dirac_witness: int | None
 
 
-def _directions(anchor: tuple[int, int],
-                others: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+def _directions(anchor: tuple[int, int, int],
+                others: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
     """The reduced direction from anchor to each of others, in order.
 
-    The direction of (dx, dy) is (dx/g, dy/g) for g = gcd(dx, dy), signed
-    so that dx > 0 or dx == 0 < dy. Two others share a direction exactly
-    when they lie on one line through anchor, on either side of it. No
-    other may equal anchor.
+    Points are homogeneous triples (X, Y, D) for the point (X/D, Y/D),
+    with D > 0. From (x, y, d) to (u, v, e) the kernel reduces
+    (dx, dy) = (u*d - x*e, v*d - y*e), which is d*e > 0 times the real
+    difference, so no common denominator is needed. The direction is
+    (dx/g, dy/g) for g = gcd(dx, dy), signed so that dx > 0 or
+    dx == 0 < dy: the primitive integer vector along the real difference,
+    whatever the D values. Two others share a direction exactly when they
+    lie on one line through anchor, on either side of it. No other may
+    equal anchor.
     """
-    px, py = anchor
+    px, py, pd = anchor
     keys = []
-    for qx, qy in others:
-        dx, dy = qx - px, qy - py
+    for qx, qy, qd in others:
+        dx, dy = qx * pd - px * qd, qy * pd - py * qd
         g = gcd(dx, dy)
         if dx < 0 or (dx == 0 and dy < 0):
             g = -g
@@ -120,13 +127,15 @@ def _directions(anchor: tuple[int, int],
     return keys
 
 
-def _integer_coords(ps: PointSet) -> list[tuple[int, int]]:
-    """The points scaled by the common denominator of all coordinates."""
-    d = lcm(*(c.denominator for p in ps for c in (p.x, p.y)))
-    return [
-        (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
-        for p in ps
-    ]
+def _homogeneous(ps: PointSet) -> list[tuple[int, int, int]]:
+    """Each point as (X, Y, D) with (x, y) = (X/D, Y/D) and D > 0 the lcm
+    of its two denominators."""
+    out = []
+    for p in ps:
+        xd, yd = p.x.denominator, p.y.denominator
+        d = lcm(xd, yd)
+        out.append((p.x.numerator * (d // xd), p.y.numerator * (d // yd), d))
+    return out
 
 
 def compute_arrangement(ps: PointSet) -> ArrangementStats:
@@ -138,11 +147,11 @@ def compute_arrangement(ps: PointSet) -> ArrangementStats:
     of forward classes of size m, s_k = N_(k-1) - N_k. Point i lies on one
     line per forward class, plus one per line on which it comes last; such
     a line's class of size 1 sits at its second-to-last point and holds i.
-    O(n^2) pairs on integers, one anchor's classes held at a time: O(n)
-    memory. Point sets with n < 2 determine no lines and yield all-zero
-    statistics.
+    O(n^2) pairs on homogeneous integers, one anchor's classes held at a
+    time: O(n) memory. Point sets with n < 2 determine no lines and yield
+    all-zero statistics.
     """
-    pts = _integer_coords(ps)
+    pts = _homogeneous(ps)
     n = len(pts)
     sizes: Counter[int] = Counter()
     degrees = [0] * n

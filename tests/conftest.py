@@ -96,7 +96,8 @@ def oracle_arrangement(coords) -> dict:
 
 
 def _max_degree(pts) -> int:
-    return max(len(set(_directions(p, pts[:i] + pts[i + 1:]))) for i, p in enumerate(pts))
+    hom = [(x, y, 1) for x, y in pts]
+    return max(len(set(_directions(h, hom[:i] + hom[i + 1:]))) for i, h in enumerate(hom))
 
 
 def reference_climb(n: int, extent: int, iterations: int, seed: int):

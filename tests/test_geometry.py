@@ -260,3 +260,51 @@ def test_kernel_memory_stays_linear():
         tracemalloc.stop()
     assert peak <= 4 * 2**20, peak
     assert sum(math.comb(i, 2) * si for i, si in st.s.items()) == math.comb(1000, 2)
+
+
+def test_kernel_operands_stay_within_four_times_the_input_width(monkeypatch):
+    # each pair is reduced in its own two points' denominators: from b-bit
+    # inputs, X, Y and D have at most 2b bits and every gcd operand at most
+    # 4b + 1. One common denominator for the whole set grew with the number
+    # of distinct denominators instead, to 1438 bits here.
+    from pointline import geometry
+
+    coords = [(Fraction(1 - t * t, 1 + t * t), Fraction(2 * t, 1 + t * t))
+              for t in range(2, 302, 2)]
+    assert len({x.denominator for x, _y in coords}) == len(coords) == 150
+    b = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+            for xy in coords for c in xy)
+    widest = 0
+
+    def recording(u, v):
+        nonlocal widest
+        widest = max(widest, u.bit_length(), v.bit_length())
+        return math.gcd(u, v)
+
+    monkeypatch.setattr(geometry, "gcd", recording)
+    st = compute_arrangement(PointSet.from_coords(coords))
+    assert st.s == {2: math.comb(150, 2)}
+    assert 0 < widest <= 4 * b + 1, (widest, b)
+
+
+def test_kernel_mixed_denominators_match_oracle():
+    # integer points, x and y with different denominators, negative
+    # coordinates, and two lines of five points each whose D values differ
+    from pointline.geometry import _homogeneous
+
+    F = Fraction
+    on_half = [(F(0), F(-1, 3)), (F(1, 5), F(-7, 30)), (F(-1), F(-5, 6)),
+               (F(4), F(5, 3)), (F(1, 2), F(-1, 12))]        # y = x/2 - 1/3
+    on_steep = [(F(0), F(1)), (F(1), F(-1)), (F(1, 3), F(1, 3)),
+                (F(-1, 4), F(3, 2)), (F(3, 5), F(-1, 5))]    # y = 1 - 2x
+    loose = [(F(-7, 2), F(5, 3)), (F(-3), F(-2)), (F(5, 7), F(-9, 4)),
+             (F(2), F(3)), (F(-11, 6), F(0))]
+    for line in (on_half, on_steep):
+        assert len({d for _x, _y, d in _homogeneous(PointSet.from_coords(line))}) >= 3
+    coords = on_half + on_steep + loose
+    rnd = random.Random(37)
+    for _ in range(4):
+        st = compute_arrangement(PointSet.from_coords(coords))
+        assert stats_as_dict(st) == oracle_arrangement(coords)
+        assert st.l_max == 5
+        rnd.shuffle(coords)

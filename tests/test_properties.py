@@ -19,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import reference_climb  # noqa: E402
 from pointline import PointSet, compute_arrangement, search_min_dirac  # noqa: E402
-from pointline.geometry import _directions, _integer_coords  # noqa: E402
+from pointline.geometry import _directions, _homogeneous  # noqa: E402
 from pointline.pointfile import format_points, parse_points  # noqa: E402
 
 
@@ -51,7 +51,7 @@ def affine_maps(draw):
 def degrees(ps):
     """Lines through each point, in point order: its distinct directions to
     all the other points."""
-    pts = _integer_coords(ps)
+    pts = _homogeneous(ps)
     return [len(set(_directions(p, pts[:i] + pts[i + 1:]))) for i, p in enumerate(pts)]
 
 
