@@ -28,6 +28,9 @@ MAX_POINTS = 10**6
 # Largest amount of work search_min_dirac() takes on, in units of about a
 # microsecond: each restart reduces C(n, 2) point pairs, and each iteration
 # scores one proposal against the n points plus a fixed cost of about ten.
+# A proposal reduces at most n - 1 pairs and stops once it is worse than the
+# current degree, so n + 10 is an upper bound on its work; the cap and the
+# formula are kept unchanged from when every proposal reduced 2(n - 1).
 MAX_SEARCH_WORK = 10**6
 
 RNG_ALGORITHM = "splitmix64"
@@ -143,14 +146,18 @@ def _draw_cells(rng: SplitMix64, n: int, side: int) -> list[tuple[int, int]]:
 
 
 class _Climb:
-    """One restart's configuration with its direction classes kept live.
+    """One restart's configuration with its pair keys and direction classes
+    kept live.
 
-    classes[j] maps each direction from point j, reduced as in
-    geometry._directions, to the number of other points on the line
-    through j that way. It is built once, from each point's directions to
-    the points after it, by geometry._directions on (x, y, 1) triples.
-    score reduces plain integer differences inline, which gives the same
-    keys because every D is 1. An accepted move updates the classes in
+    keys[j][i] is the direction between points j and i, reduced as in
+    geometry._directions; its sign rule makes it the same from either end,
+    so one tuple serves keys[j][i], keys[i][j] and the class dicts.
+    keys[j][j] is None. classes[j] maps each key in keys[j] to the number
+    of other points on the line through j that way. Both are built once,
+    from each point's directions to the points after it, by
+    geometry._directions on (x, y, 1) triples. score reduces plain integer
+    differences inline, which gives the same keys because every D is 1. An
+    accepted move updates row and column idx of keys and the classes in
     O(n), so a proposal is scored without recomputing the arrangement.
     The classes are plain dicts, whose subscripts CPython specialises.
     occupied is set(pts).
@@ -160,70 +167,85 @@ class _Climb:
         self.pts = pts
         self.occupied = set(pts)
         # each pair is reduced once, from its earlier point; the direction
-        # from j back to an earlier i is later[i][j - i - 1]
+        # from j back to an earlier i is later[i][j - i - 1], gathered by map
+        # because a comprehension over the n^2/2 entries measured slower
         hom = [(x, y, 1) for x, y in pts]
         later = [_directions(h, hom[j + 1:]) for j, h in enumerate(hom)]
-        self.classes = [dict(Counter([later[i][j - i - 1] for i in range(j)] + later[j]))
-                        for j in range(len(pts))]
+        self.keys = []
+        self.classes = []
+        for j in range(len(pts)):
+            row = [*map(list.__getitem__, later, range(j - 1, -1, -1)), None, *later[j]]
+            self.keys.append(row)
+            self.classes.append(_classes_of(row))
         self.degree = max(len(at_j) for at_j in self.classes)
 
-    def score(self, idx: int, cell: tuple[int, int]) -> tuple[int, list]:
+    def score(self, idx: int, cell: tuple[int, int], bound: int) -> tuple[int, list] | None:
         """The maximum point degree once point idx moves to cell, and the
-        (j, old key, new key) of every other point j for accept(). The
-        state is unchanged.
+        new row idx of keys for accept(); None as soon as that degree is
+        seen to exceed bound. The state is unchanged.
 
-        A key is the reduced direction from j to the moved point, signed as
-        in geometry._directions. When the two keys differ, j loses a line if
-        its old class holds only the moved point and gains one if it has no
-        class for the new key; the moved point lies on one line per
-        distinct new key. Both reductions stay inline, the hot loop of the
-        search: routing them through geometry._directions builds two more
-        lists per proposal and measured up to 10% slower at n = 100.
+        The old key of each other point j is keys[idx][j]; the new key,
+        from j to cell, is the one reduction per point. When the two keys
+        differ, j loses a line if its old class holds only the moved point
+        and gains one if it has no class for the new key, so a point with
+        fewer classes than the largest degree seen so far cannot raise it
+        and its classes are not read. The moved point lies on one line per
+        distinct new key. The one reduction stays inline, the hot loop of
+        the search: geometry._directions would build another list per
+        proposal and could not stop at the first point whose degree passes
+        bound.
         """
-        ox, oy = self.pts[idx]
         cx, cy = cell
-        classes = self.classes
         degree = 0
-        rekeys = []
-        for j, (px, py) in enumerate(self.pts):
-            if j == idx:
+        row = []
+        for (px, py), old, at_j in zip(self.pts, self.keys[idx], self.classes):
+            if old is None:  # the moved point itself
+                row.append(None)
                 continue
-            dx, dy = ox - px, oy - py
-            g = gcd(dx, dy)
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            old = (dx // g, dy // g)
             dx, dy = cx - px, cy - py
             g = gcd(dx, dy)
             if dx < 0 or (dx == 0 and dy < 0):
                 g = -g
             new = (dx // g, dy // g)
-            at_j = classes[j]
+            row.append(new)
             d = len(at_j)
-            if old != new:
+            if d >= degree and old != new:
                 d += (new not in at_j) - (at_j[old] == 1)
             if d > degree:
+                if d > bound:
+                    return None
                 degree = d
-            rekeys.append((j, old, new))
-        return max(degree, len({new for _j, _old, new in rekeys})), rekeys
+        moved = len(set(row)) - 1  # less the None at idx
+        if moved > bound:
+            return None
+        return max(degree, moved), row
 
-    def accept(self, idx: int, cell: tuple[int, int], degree: int, rekeys: list) -> None:
-        """Move point idx to cell, given score(idx, cell) == (degree, rekeys)."""
-        at_idx: dict[tuple[int, int], int] = {}
-        for j, old, new in rekeys:
-            at_idx[new] = at_idx.get(new, 0) + 1
+    def accept(self, idx: int, cell: tuple[int, int], degree: int, row: list) -> None:
+        """Move point idx to cell, given score(idx, cell, bound) == (degree, row)."""
+        keys, classes = self.keys, self.classes
+        for j, (old, new) in enumerate(zip(keys[idx], row)):
             if old != new:
-                at_j = self.classes[j]
+                at_j = classes[j]
                 if at_j[old] == 1:
                     del at_j[old]
                 else:
                     at_j[old] -= 1
                 at_j[new] = at_j.get(new, 0) + 1
-        self.classes[idx] = at_idx
+            keys[j][idx] = new
+        keys[idx] = row
+        classes[idx] = _classes_of(row)
         self.occupied.remove(self.pts[idx])
         self.occupied.add(cell)
         self.pts[idx] = cell
         self.degree = degree
+
+
+def _classes_of(row: list) -> dict:
+    """The direction classes of one row of _Climb.keys: each key's count,
+    the None on the diagonal left out."""
+    at_j = dict(Counter(row))
+    del at_j[None]
+    return at_j
 
 
 def _sample_start(rng: SplitMix64, n: int, side: int) -> _Climb:
@@ -257,12 +279,16 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
     index, so the outcome does not depend on scheduling; the best restart
     wins, ties to the lowest restart index. ratio reports degree / (n/2).
 
-    A restart computes its start's direction classes once; a proposal is
+    A restart reduces each of its start's C(n, 2) pairs once, into a table
+    of pair keys and the direction classes built from it; a proposal is
     then scored in O(n) from them (see _Climb.score): only lines through
     the moved point's old or new cell can change, so each other point's
     degree moves by at most one either way, and the moved point's degree
-    is its number of distinct directions to the others. The classes are
-    updated only when a move is accepted.
+    is its number of distinct directions to the others. The old keys are
+    read from the table, so a proposal reduces at most n - 1 new ones, and
+    scoring stops as soon as the candidate's degree exceeds the current
+    one, which rejects it. The table and classes are updated only when a
+    move is accepted.
 
     Raises GenerationFailed, before any work is done, when the restarts'
     pairs plus the iterations' proposals exceed MAX_SEARCH_WORK.
@@ -299,11 +325,13 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
                     break  # moving onto itself: valid no-op proposal
                 if cell in climb.occupied:
                     continue
-                cand_deg, rekeys = climb.score(idx, cell)
+                scored = climb.score(idx, cell, climb.degree)
+                if scored is None:
+                    break  # worse than the incumbent: rejected
+                cand_deg, row = scored
                 if cand_deg < 2:
                     continue  # collinear candidates are rejected
-                if cand_deg <= climb.degree:
-                    climb.accept(idx, cell, cand_deg, rekeys)
+                climb.accept(idx, cell, cand_deg, row)
                 break
         consumed += budget
         if best_pts is None or climb.degree < best_deg:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_climb
+from conftest import _max_degree, reference_climb
 from pointline import (
     GenerationFailed,
     Point,
@@ -16,6 +16,7 @@ from pointline import (
 )
 from pointline import generators
 from pointline.generators import MAX_POINTS, RNG_ALGORITHM, SplitMix64
+from pointline.geometry import _directions
 
 
 def test_splitmix64_reference_vectors():
@@ -165,10 +166,14 @@ def test_climb_classes_stay_live(monkeypatch):
     accepted = []
     accept = generators._Climb.accept
 
-    def checked(climb, idx, cell, degree, rekeys):
-        accept(climb, idx, cell, degree, rekeys)
+    def checked(climb, idx, cell, degree, row):
+        accept(climb, idx, cell, degree, row)
         assert climb.pts[idx] == cell
-        assert climb.classes == generators._Climb(list(climb.pts)).classes
+        fresh = generators._Climb(list(climb.pts))
+        assert climb.keys == fresh.keys
+        n = len(climb.pts)
+        assert all(climb.keys[i][j] is climb.keys[j][i] for i in range(n) for j in range(n))
+        assert climb.classes == fresh.classes
         assert climb.occupied == set(climb.pts)
         assert climb.degree == max(len(at_j) for at_j in climb.classes)
         accepted.append(idx)
@@ -177,6 +182,72 @@ def test_climb_classes_stay_live(monkeypatch):
     for n, extent, seed in ((8, 2, 1), (7, 3, 5), (12, 6, 11)):
         search_min_dirac(n, extent, 300, seed)
     assert len(accepted) > 100
+
+
+@pytest.mark.parametrize("n, extent, iterations, seeds", [
+    (3, 2, 40, (0, 1, 2, 5)),  # includes collinear candidates
+    (9, 2, 100, (1,)),  # full grid: no proposal is scored
+    (16, 3, 50, (1,)),  # full grid
+    (8, 2, 100, (1, 2)),  # one free cell
+    (15, 3, 100, (1, 4)),  # one free cell
+    (12, 11, 300, (0, 42)),
+    (40, 30, 100, (2024,)),
+])
+def test_bounded_score_matches_the_candidate_degree(monkeypatch, n, extent, iterations, seeds):
+    # every proposal the search scores, rescored at every bound the climb
+    # can pass (its incumbent degree is 2..n-1)
+    scored = []
+    score = generators._Climb.score
+
+    def checked(climb, idx, cell, bound):
+        candidate = list(climb.pts)
+        candidate[idx] = cell
+        true_deg = _max_degree(candidate)
+        hom = [(x, y, 1) for x, y in candidate]
+        row = _directions(hom[idx], hom[:idx] + hom[idx + 1:])
+        row.insert(idx, None)
+        for b in range(2, n):
+            got = score(climb, idx, cell, b)
+            if true_deg > b:
+                assert got is None, (b, true_deg)
+            else:
+                assert got == (true_deg, row), (b, true_deg)
+        scored.append(idx)
+        return score(climb, idx, cell, bound)
+
+    monkeypatch.setattr(generators._Climb, "score", checked)
+    for seed in seeds:
+        search_min_dirac(n, extent, iterations, seed)
+    if n == (extent + 1) ** 2:
+        assert scored == []
+    else:
+        assert len(scored) >= iterations // 2
+
+
+def test_each_scored_proposal_reduces_at_most_n_minus_1_pairs(monkeypatch):
+    # deterministic work count: gcd calls in the proposal loop; the restart
+    # build reduces through geometry._directions and is not counted here
+    calls = []
+    scored = []
+    gcd = generators.gcd
+    score = generators._Climb.score
+
+    def counting_gcd(a, b):
+        calls.append(None)
+        return gcd(a, b)
+
+    def counting_score(climb, idx, cell, bound):
+        scored.append(None)
+        return score(climb, idx, cell, bound)
+
+    monkeypatch.setattr(generators, "gcd", counting_gcd)
+    monkeypatch.setattr(generators._Climb, "score", counting_score)
+    res = search_min_dirac(12, 11, 3000, 42)
+    assert res.degree == 8
+    assert len(calls) <= 11 * len(scored)
+    # pinned: 2978 scored proposals, 25467 reductions (65516 = 2 * 11 * 2978
+    # when both the old and the new key were reduced for every other point)
+    assert (len(scored), len(calls)) == (2978, 25467)
 
 
 def test_proposals_do_not_recompute_the_kernel(monkeypatch):
