@@ -8,6 +8,12 @@ does not hold, flagged non-binding via preconditions_met.
 Compound checks carry their sub-verdicts in parts; the top-level holds is
 the conjunction over binding parts (over all parts when none is binding),
 and the top-level lhs/rhs/slack are copied from the tightest part.
+
+CHECK_NAMES lists the checks by the names the command line uses, and
+run_check(name, ...) runs one of them: "stt" over every level 2..l_max,
+"proof-trace" as audit_proof_steps, the rest as check_<name>. A check that
+refuses its input (CollinearInput, PreconditionViolated) comes back as a
+skipped report: non-binding, all values zero, its note "skipped: <reason>".
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ from math import comb, floor
 
 from ._record import Record
 from .constants import DEFAULT_TAIL_WIDTH, PipelineParams, delta_of
-from .errors import PreconditionViolated
-from .geometry import ArrangementStats, require_noncollinear, subgraph_edge_count
+from .errors import CollinearInput, PreconditionViolated
+from .geometry import ArrangementStats, is_noncollinear, require_noncollinear, subgraph_edge_count
+
+CHECK_NAMES = ("melchior", "hirzebruch", "kelly-moser", "stt", "main", "beck", "proof-trace")
 
 
 class CheckReport(Record):
@@ -81,15 +89,11 @@ def combine_reports(name, parts, preconditions_met=True, note="") -> CheckReport
     return _compound(name, parts, preconditions_met, note)
 
 
-def _noncollinear(stats: ArrangementStats) -> bool:
-    return stats.n >= 3 and stats.l_max < stats.n
-
-
 def check_melchior(stats: ArrangementStats) -> CheckReport:
     """s_2 >= 3 + sum_{i>=4} (i-3) s_i; hypothesis: not all collinear."""
     lhs = Fraction(stats.s.get(2, 0))
     rhs = Fraction(3 + sum((i - 3) * si for i, si in stats.s.items() if i >= 4))
-    return _ge("melchior", lhs, rhs, preconditions_met=_noncollinear(stats))
+    return _ge("melchior", lhs, rhs, preconditions_met=is_noncollinear(stats))
 
 
 def check_hirzebruch(stats: ArrangementStats) -> CheckReport:
@@ -101,7 +105,7 @@ def check_hirzebruch(stats: ArrangementStats) -> CheckReport:
 
 def check_kelly_moser(stats: ArrangementStats) -> CheckReport:
     """3L >= 3 + I and 2L >= 3 + E; hypothesis: not all collinear."""
-    ok = _noncollinear(stats)
+    ok = is_noncollinear(stats)
     parts = (
         _ge("kelly-moser-incidences", 3 * stats.lines, 3 + stats.incidences, ok),
         _ge("kelly-moser-edges", 2 * stats.lines, 3 + stats.edges, ok),
@@ -178,7 +182,7 @@ def check_beck(stats: ArrangementStats) -> CheckReport:
             "beck-few-point-lines",
             Fraction(2 * few),
             Fraction(stats.lines),
-            preconditions_met=_noncollinear(stats),
+            preconditions_met=is_noncollinear(stats),
         ),
         _ge("beck-few-line-count", Fraction(few), Fraction(n * (n - l), 196)),
     )
@@ -309,3 +313,22 @@ def audit_proof_steps(
         step_reports=(step1, step2, step3, step4),
         note="small takes priority over large when the classes overlap",
     )
+
+
+def run_check(name, stats, params, c, eps, tail_width):
+    """The report of the check called name (one of CHECK_NAMES) on stats.
+
+    c, eps and tail_width are read by "proof-trace" only. The check
+    functions are looked up when called, so a wrapper put in their place
+    in this module is the one that runs.
+    """
+    try:
+        if name == "stt":
+            reports = tuple(check_stt(stats, i, params) for i in range(2, stats.l_max + 1))
+            return combine_reports("stt", reports, note=f"levels 2..{stats.l_max}")
+        if name == "proof-trace":
+            return audit_proof_steps(stats, c, eps, params, tail_width)
+        return globals()["check_" + name.replace("-", "_")](stats)
+    except (CollinearInput, PreconditionViolated) as exc:
+        zero = Fraction(0)
+        return CheckReport(name, False, False, zero, zero, zero, f"skipped: {exc}")

@@ -10,7 +10,9 @@ Exit codes: 0 success / all binding checks hold; 1 a binding check failed;
 2 unparseable input (file or flags) or an output file that cannot be
 written; 3 duplicate points; 4 unknown check name; 5 domain errors (no
 fixed point; a cutoff, eps, alpha, beta or tail width out of range; a sweep
-over too many cutoffs; a search over its work cap; generation failed).
+over too many cutoffs; a search over its work cap; generation failed; a
+constants or verify value whose integers exceed CPython's 4300-digit limit
+on int-string conversion), with empty stdout.
 
 Each command imports the library modules it uses when it runs, and its
 parser is filled in only when it is parsed, so a command pays start-up
@@ -29,18 +31,13 @@ from pathlib import Path
 from .errors import (
     BadCutoff,
     BadEps,
-    CollinearInput,
     DuplicatePoints,
     GenerationFailed,
     NoSolution,
     PointFormatError,
-    PreconditionViolated,
 )
 
 SCHEMA_VERSION = "1"
-
-CHECK_NAMES = ("melchior", "hirzebruch", "kelly-moser", "stt", "main", "beck", "proof-trace")
-DEFAULT_CHECKS = "melchior,hirzebruch,kelly-moser,stt,main,beck"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -194,54 +191,9 @@ def _cmd_analyze(args) -> int:
 # verify
 
 
-def _skipped(name: str, reason: str):
-    from .audits import CheckReport
-
-    zero = Fraction(0)
-    return CheckReport(
-        name=name,
-        preconditions_met=False,
-        holds=False,
-        lhs=zero,
-        rhs=zero,
-        slack=zero,
-        note=f"skipped: {reason}",
-    )
-
-
-def _run_check(name, stats, params, c, eps, tail_width):
-    from .audits import (
-        audit_proof_steps,
-        check_beck,
-        check_hirzebruch,
-        check_kelly_moser,
-        check_main,
-        check_melchior,
-        check_stt,
-        combine_reports,
-    )
-
-    checks = {
-        "melchior": check_melchior,
-        "hirzebruch": check_hirzebruch,
-        "kelly-moser": check_kelly_moser,
-        "main": check_main,
-        "beck": check_beck,
-    }
-    try:
-        if name == "stt":
-            reports = tuple(check_stt(stats, i, params) for i in range(2, stats.l_max + 1))
-            return combine_reports("stt", reports, note=f"levels 2..{stats.l_max}")
-        if name == "proof-trace":
-            return audit_proof_steps(stats, c, eps, params, tail_width)
-        return checks[name](stats)
-    except (CollinearInput, PreconditionViolated) as exc:
-        return _skipped(name, str(exc))
-
-
 def _cmd_verify(args) -> int:
-    from .audits import ProofTrace
-    from .constants import PipelineParams, checked_eps, checked_tail_width, h_of
+    from .audits import CHECK_NAMES, ProofTrace, run_check
+    from .constants import PipelineParams, delta_of
     from .geometry import compute_arrangement
 
     names = [t.strip() for t in args.check.split(",") if t.strip()]
@@ -251,35 +203,32 @@ def _cmd_verify(args) -> int:
         print(f"unknown check name: {bad}; valid: {', '.join(CHECK_NAMES)}", file=sys.stderr)
         return EXIT_UNKNOWN_CHECK
     source, ps = _read_point_file(args.file)
-    # The pipeline flags are validated whichever checks run, in the order
-    # proof-trace's delta_of validates them, so both report the same error.
     try:
         params = PipelineParams(alpha=args.alpha, beta=args.beta)
-        checked_eps(args.eps)
-        h_of(args.c)
-        checked_tail_width(args.tail_width)
+        # Refuses a bad --eps, --c or --tail-width whichever checks run.
+        delta_of(args.c, args.eps, params, args.tail_width)
+        stats = compute_arrangement(ps)
+        entries = [
+            run_check(name, stats, params, args.c, args.eps, args.tail_width) for name in names
+        ]
+        failures: list[str] = []
+        for entry in entries:
+            failures.extend(entry.binding_failures())
+        payload = {
+            "checks": [
+                _trace_payload(e) if isinstance(e, ProofTrace) else _report_payload(e)
+                for e in entries
+            ],
+            "params": {
+                "alpha": _rat(args.alpha),
+                "beta": _rat(args.beta),
+                "c": args.c,
+                "eps": _rat(args.eps),
+            },
+            "binding_failures": failures,
+        }
     except (BadCutoff, BadEps, ValueError) as exc:
         raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-    stats = compute_arrangement(ps)
-    entries = [
-        _run_check(name, stats, params, args.c, args.eps, args.tail_width) for name in names
-    ]
-    failures: list[str] = []
-    for entry in entries:
-        failures.extend(entry.binding_failures())
-    payload = {
-        "checks": [
-            _trace_payload(e) if isinstance(e, ProofTrace) else _report_payload(e)
-            for e in entries
-        ],
-        "params": {
-            "alpha": _rat(args.alpha),
-            "beta": _rat(args.beta),
-            "c": args.c,
-            "eps": _rat(args.eps),
-        },
-        "binding_failures": failures,
-    }
     if args.json:
         sys.stdout.write(_document("verify", source, payload))
     else:
@@ -513,8 +462,10 @@ def _analyze_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .audits import CHECK_NAMES
+
     p.add_argument("file")
-    p.add_argument("--check", default=DEFAULT_CHECKS,
+    p.add_argument("--check", default=",".join(n for n in CHECK_NAMES if n != "proof-trace"),
                    help=f"comma-separated subset of {','.join(CHECK_NAMES)}")
     p.add_argument("--c", type=int, default=8, help="cutoff for proof-trace")
     p.add_argument("--eps", type=_rational_flag, default=Fraction(499, 1000),
@@ -525,8 +476,10 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _constants_arguments(p: argparse.ArgumentParser) -> None:
+    from .constants import MODES
+
     p.add_argument("--c", type=int)
-    p.add_argument("--mode", choices=("dirac", "beck", "fixed-eps"), required=True)
+    p.add_argument("--mode", choices=(*MODES, "fixed-eps"), required=True)
     p.add_argument("--eps", type=_rational_flag, help="eps for --mode fixed-eps")
     _add_pipeline_flags(p)
     p.add_argument("--optimize", action="store_true", help="sweep c-min..c-max")

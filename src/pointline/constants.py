@@ -56,7 +56,9 @@ MIN_TAIL_WIDTH = Fraction(1, 10**100)
 # 1.5 MB of JSON; 10^8 rows would run for about an hour.
 MAX_SWEEP_ROWS = 10**4
 
-MODES = ("dirac", "beck")
+# The fixed-point modes and their factor lam in eps = lam * delta(eps).
+_LAMBDA = {"dirac": Fraction(1), "beck": Fraction(2, 3)}
+MODES = tuple(_LAMBDA)
 
 
 class PipelineParams(Record):
@@ -276,9 +278,6 @@ def delta_of(
         eps=eps,
         delta=Interval(_delta_at(c, tail.hi, eps, params), _delta_at(c, tail.lo, eps, params)),
     )
-
-
-_LAMBDA = {"dirac": Fraction(1), "beck": Fraction(2, 3)}
 
 
 def _lam(mode: str) -> Fraction:

@@ -178,12 +178,16 @@ def compute_arrangement(ps: PointSet) -> ArrangementStats:
     )
 
 
+def is_noncollinear(stats: ArrangementStats) -> bool:
+    """True when the set has at least 3 points and not all on one line."""
+    return stats.n >= 3 and stats.l_max < stats.n
+
+
 def require_noncollinear(stats: ArrangementStats) -> None:
     """Raise CollinearInput for sets with fewer than 3 points or all on one line."""
-    if stats.n < 3:
-        raise CollinearInput(f"need at least 3 points, got {stats.n}")
-    if stats.l_max == stats.n:
-        raise CollinearInput("all points lie on a single line")
+    if not is_noncollinear(stats):
+        raise CollinearInput(f"need at least 3 points, got {stats.n}" if stats.n < 3
+                             else "all points lie on a single line")
 
 
 def dirac_degree(ps: PointSet) -> tuple[int, int]:

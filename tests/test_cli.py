@@ -280,6 +280,19 @@ def test_over_4300_digit_numbers_exit_2(tmp_path):
     assert proc.stdout == ""
 
 
+def test_verify_values_over_4300_digits_exit_5(tmp_path):
+    # valid flags whose reports hold a number too long to print as a string
+    path = write_grid(tmp_path, side=5)
+    for flags in (("--alpha", "9" * 4300),
+                  ("--check", "proof-trace", "--eps", "1/4", "--c", "9" * 1500)):
+        for form in ((), ("--json",)):
+            proc = run_cli("verify", path, *flags, *form, timeout=10)
+            assert proc.returncode == 5, flags[:2]
+            assert proc.stdout == ""
+            assert "Exceeds the limit (4300 digits)" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+
 def test_generate_bad_arity_exit_2():
     proc = run_cli("generate", "grid", "5")
     assert proc.returncode == 2
@@ -458,6 +471,31 @@ def test_verify_runs_the_kernel_once(tmp_path, monkeypatch, capsys):
     assert calls == [16]
 
 
+def test_verify_calls_each_check_through_the_audits_module(tmp_path, monkeypatch):
+    # a function put in place of a check in pointline.audits is the one that
+    # runs, as the benchmark's tracer relies on
+    from pointline import audits, cli
+
+    names = ("check_melchior", "check_hirzebruch", "check_kelly_moser", "check_stt",
+             "check_main", "check_beck", "audit_proof_steps")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(audits, name, counting(name, getattr(audits, name)))
+    path = write_grid(tmp_path, side=5)
+    assert cli.main(["verify", path, "--json"]) == 0
+    assert calls == dict.fromkeys(names, 1) | {"check_stt": 4, "audit_proof_steps": 0}
+    calls.update(dict.fromkeys(names, 0))
+    assert cli.main(["verify", path, "--check", "proof-trace", "--json"]) == 0
+    assert calls == dict.fromkeys(names, 0) | {"audit_proof_steps": 1}
+
+
 def test_optimize_sweep_over_the_cap_exits_5_before_any_work():
     from pointline.constants import MAX_SWEEP_ROWS
 
@@ -535,6 +573,7 @@ def test_help_text_is_pinned():
 
 def test_parser_defaults_and_choices_come_from_the_library():
     from pointline import DEFAULT_TAIL_WIDTH, PipelineParams, cli
+    from pointline.constants import MODES
     from pointline.generators import KINDS
 
     parser = cli._build_parser()
@@ -548,6 +587,11 @@ def test_parser_defaults_and_choices_come_from_the_library():
     proc = run_cli("generate", "hexagon", "3")
     assert proc.returncode == 2
     assert f"choose from {', '.join(map(repr, KINDS))}" in proc.stderr
+    for mode in (*MODES, "fixed-eps"):
+        assert cli._build_parser().parse_args(["constants", "--mode", mode]).mode == mode
+    proc = run_cli("constants", "--mode", "newton")
+    assert proc.returncode == 2
+    assert f"choose from {', '.join(map(repr, (*MODES, 'fixed-eps')))}" in proc.stderr
 
 
 def _imported(*args, tmp_path) -> set:
@@ -568,6 +612,11 @@ def test_each_command_imports_only_its_modules(tmp_path):
                         tmp_path=tmp_path)
     assert {"pointline.geometry", "pointline.pointfile"} <= analyze
     assert not analyze & {"pointline.audits", "pointline.constants", "pointline.generators"}
+    verify = _imported("-m", "pointline", "verify", write_grid(tmp_path), "--json",
+                       tmp_path=tmp_path)
+    assert {"pointline.audits", "pointline.constants", "pointline.geometry",
+            "pointline.pointfile"} <= verify
+    assert not verify & {"pointline.generators", "dataclasses", "inspect"}
     # only a JSON document is hashed
     human = _imported("-m", "pointline", "constants", "--c", "71", "--mode", "dirac",
                       tmp_path=tmp_path)
