@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, floor
 
 from ._record import Record
-from .constants import DEFAULT_TAIL_WIDTH, PipelineParams, delta_of
+from .constants import DEFAULT_TAIL_WIDTH, DeltaBreakdown, PipelineParams, delta_of
 from .errors import CollinearInput, PreconditionViolated
 from .geometry import ArrangementStats, is_noncollinear, require_noncollinear, subgraph_edge_count
 
@@ -223,6 +223,8 @@ def audit_proof_steps(
     eps,
     params: PipelineParams | None = None,
     tail_width: Fraction = DEFAULT_TAIL_WIDTH,
+    *,
+    breakdown: DeltaBreakdown | None = None,
 ) -> ProofTrace:
     """Audit the four tally bounds behind the incidence lower bound.
 
@@ -235,10 +237,12 @@ def audit_proof_steps(
     All comparisons are exact rationals except (3), which substitutes the
     certified upper end of the tail enclosure for T(c): a true instance
     can only gain slack from that, never flip verdict. h, X, Y(c+1)/c^3 and
-    T(c) come from delta_of, which validates c, eps and tail_width first.
+    T(c) come from delta_of, which validates c, eps and tail_width first;
+    a caller that has already evaluated delta_of(c, eps, params, tail_width)
+    passes it as breakdown, and it is not evaluated again.
     """
     params = params or PipelineParams()
-    bd = delta_of(c, eps, params, tail_width)
+    bd = delta_of(c, eps, params, tail_width) if breakdown is None else breakdown
     h, x, eps = bd.h, bd.x, bd.eps
     n = stats.n
     if stats.l_max > eps * n:
@@ -315,10 +319,11 @@ def audit_proof_steps(
     )
 
 
-def run_check(name, stats, params, c, eps, tail_width):
+def run_check(name, stats, params, breakdown):
     """The report of the check called name (one of CHECK_NAMES) on stats.
 
-    c, eps and tail_width are read by "proof-trace" only. The check
+    breakdown, delta_of's DeltaBreakdown at the trace's cutoff, eps and
+    tail width, is read by "proof-trace" only. The check
     functions are looked up when called, so a wrapper put in their place
     in this module is the one that runs.
     """
@@ -327,7 +332,8 @@ def run_check(name, stats, params, c, eps, tail_width):
             reports = tuple(check_stt(stats, i, params) for i in range(2, stats.l_max + 1))
             return combine_reports("stt", reports, note=f"levels 2..{stats.l_max}")
         if name == "proof-trace":
-            return audit_proof_steps(stats, c, eps, params, tail_width)
+            return audit_proof_steps(stats, breakdown.c, breakdown.eps, params,
+                                     breakdown=breakdown)
         return globals()["check_" + name.replace("-", "_")](stats)
     except (CollinearInput, PreconditionViolated) as exc:
         zero = Fraction(0)

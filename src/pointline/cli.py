@@ -16,14 +16,21 @@ on int-string conversion), with empty stdout.
 
 Each command imports the library modules it uses when it runs, and its
 parser is filled in only when it is parsed, so a command pays start-up
-only for its own modules.
+only for its own modules. Documents are rendered by _json, which matches
+json.dumps(..., sort_keys=True[, indent=2]) byte for byte, so no command
+imports json.
+
+run() is the one way a command ends, for `python -m pointline` and the
+`pointline` script alike: it flushes stdout and stderr and leaves through
+os._exit, skipping the interpreter's teardown, unless a flush fails or a
+tracer or profiler is attached; then it raises SystemExit as before.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
-import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -118,6 +125,65 @@ def _trace_payload(t) -> dict:
     }
 
 
+_ESCAPES = {chr(i): f"\\u{i:04x}" for i in range(0x20)} | {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+}
+
+
+def _json_string(s: str) -> str:
+    """s as a JSON string literal, escaped as json.dumps's ensure_ascii does."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    out = []
+    for ch in s:
+        code = ord(ch)
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif code < 0x7F:
+            out.append(ch)
+        elif code < 0x10000:
+            out.append(f"\\u{code:04x}")
+        else:  # astral: a UTF-16 surrogate pair
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _json(value, newline: str | None = None) -> str:
+    """json.dumps(value, sort_keys=True), byte for byte, or with indent=2
+    when newline is "\\n" (it carries the indentation of nested levels).
+
+    value holds str keys and str, int, bool, None, list and dict values. As
+    in json, an int of more than 4300 digits raises ValueError.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = None if newline is None else newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        opening, closing = "{", "}"
+        items = [f"{_json_string(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, list):
+        if not value:
+            return "[]"
+        opening, closing = "[", "]"
+        items = [_json(item, inner) for item in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if newline is None:
+        return opening + ", ".join(items) + closing
+    return opening + inner + ("," + inner).join(items) + newline + closing
+
+
 def _document(command: str, source: bytes, payload: dict) -> str:
     """The JSON document; its input_digest is the sha256 of source."""
     import hashlib
@@ -128,7 +194,7 @@ def _document(command: str, source: bytes, payload: dict) -> str:
         "payload": payload,
         "schema_version": SCHEMA_VERSION,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json(doc, "\n") + "\n"
 
 
 def _read_point_file(path: str) -> tuple:
@@ -206,11 +272,9 @@ def _cmd_verify(args) -> int:
     try:
         params = PipelineParams(alpha=args.alpha, beta=args.beta)
         # Refuses a bad --eps, --c or --tail-width whichever checks run.
-        delta_of(args.c, args.eps, params, args.tail_width)
+        breakdown = delta_of(args.c, args.eps, params, args.tail_width)
         stats = compute_arrangement(ps)
-        entries = [
-            run_check(name, stats, params, args.c, args.eps, args.tail_width) for name in names
-        ]
+        entries = [run_check(name, stats, params, breakdown) for name in names]
         failures: list[str] = []
         for entry in entries:
             failures.extend(entry.binding_failures())
@@ -346,7 +410,7 @@ def _emit_constants(args, payload) -> None:
         entries = {"command": "constants"} | {
             k: v for k, v in payload.items() if not isinstance(v, (dict, list))
         }
-        source = json.dumps(entries, sort_keys=True).encode()
+        source = _json(entries).encode()
         sys.stdout.write(_document("constants", source, payload))
         return
     skip = {"sweep"}
@@ -413,7 +477,7 @@ def _cmd_search(args) -> int:
     if args.json:
         entries = {"command": "search", "n": args.n, "extent": args.extent,
                    "iters": args.iters, "seed": args.seed}
-        source = json.dumps(entries, sort_keys=True).encode()
+        source = _json(entries).encode()
         sys.stdout.write(_document("search", source, payload))
     else:
         print(f"degree {result.degree} ratio {result.ratio} "
@@ -538,5 +602,31 @@ def main(argv=None) -> int:
         return failure.code
 
 
+def _observed() -> bool:
+    """Whether a trace, profile or monitoring function is installed, as
+    under cProfile, trace, coverage or a debugger."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or monitoring is not None
+            and any(monitoring.get_tool(i) is not None for i in range(6)))
+
+
 def run() -> None:
-    raise SystemExit(main())
+    """Run main() and end the process with its exit code.
+
+    Once stdout and stderr are flushed, nothing is left to write, so the
+    process ends with os._exit and skips the interpreter's teardown. When a
+    flush fails, or a tool that reports at exit is attached, it ends with
+    SystemExit instead, as an uncaught exception or argparse's exit do.
+    """
+    code = main()
+    if not _observed():
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except (OSError, ValueError):  # a failed write, or a closed stream
+            pass
+        else:
+            os._exit(code)
+    raise SystemExit(code)

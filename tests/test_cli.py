@@ -617,6 +617,12 @@ def test_each_command_imports_only_its_modules(tmp_path):
     assert {"pointline.audits", "pointline.constants", "pointline.geometry",
             "pointline.pointfile"} <= verify
     assert not verify & {"pointline.generators", "dataclasses", "inspect"}
+    search = _imported("-m", "pointline", "search", "--n", "12", "--extent", "11",
+                       "--iters", "300", "--seed", "1", "--json", tmp_path=tmp_path)
+    assert "pointline.generators" in search
+    # documents are rendered by cli's own writer
+    for imported in (constants, analyze, verify, search):
+        assert not imported & {"json", "json.decoder", "json.scanner", "json.encoder"}
     # only a JSON document is hashed
     human = _imported("-m", "pointline", "constants", "--c", "71", "--mode", "dirac",
                       tmp_path=tmp_path)
@@ -624,3 +630,106 @@ def test_each_command_imports_only_its_modules(tmp_path):
     bare = _imported("-c", "import pointline", tmp_path=tmp_path)
     assert "pointline" in bare
     assert not {m for m in bare if m.startswith("pointline.")}
+
+
+def test_proof_trace_evaluates_delta_of_once(tmp_path, monkeypatch):
+    # verify validates its flags with delta_of and hands that breakdown to
+    # the trace, so the tail is bracketed once per request
+    from pointline import cli, constants
+
+    calls = []
+    tail_sum = constants.tail_sum
+
+    def counting(*args):
+        calls.append(args)
+        return tail_sum(*args)
+
+    monkeypatch.setattr(constants, "tail_sum", counting)
+    path = write_grid(tmp_path, side=5)
+    assert cli.main(["verify", path, "--check", "proof-trace", "--eps", "1/4", "--json"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert cli.main(["verify", path, "--json"]) == 0
+    assert len(calls) == 1
+
+
+# A command ends through cli.run: once stdout and stderr are flushed the
+# process ends with os._exit. These tests pin what that must not change.
+
+RUN = [sys.executable, "-c", "from pointline.cli import run; run()"]
+
+
+def test_run_matches_the_module_entry_point(tmp_path):
+    codes = set()
+    grid = write_grid(tmp_path, side=5)
+    for argv in (["constants", "--c", "71", "--mode", "dirac", "--json"],
+                 ["verify", grid, "--check", "proof-trace"],
+                 ["verify", grid, "--check", "stt", "--alpha", "1/1000000", "--beta", "1/1000000"],
+                 ["constants", "--c", "27", "--mode", "dirac"],
+                 ["analyze", str(tmp_path / "missing.txt")],
+                 ["verify", grid, "--check", "nope"],
+                 ["search", "--n", "0", "--extent", "3", "--iters", "1", "--seed", "1"],
+                 ["constants", "--mode", "newton"],
+                 ["generate", "--help"]):
+        module = subprocess.run(CMD + argv, capture_output=True)
+        script = subprocess.run(RUN + argv, capture_output=True)
+        assert (script.returncode, script.stdout) == (module.returncode, module.stdout), argv
+        assert module.stdout or module.stderr, argv
+        codes.add(module.returncode)
+    assert codes == {0, 1, 2, 4, 5}
+
+
+def test_closed_stdout_pipe_is_an_uncaught_error():
+    # about 1.5 MB of JSON into a pipe whose reader is gone
+    proc = subprocess.Popen(
+        CMD + ["constants", "--mode", "beck", "--optimize", "--c-max", "5000", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert stderr.startswith("Traceback")
+    assert stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_flush_exits_as_the_interpreter_does():
+    # block-buffered stdout: the write succeeds and the final flush fails,
+    # so run falls back to SystemExit and the interpreter reports it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(CMD + ["generate", "grid", "3", "3"], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == 120
+    assert b"No space left on device" in proc.stderr
+
+
+def test_generate_out_leaves_the_complete_file(tmp_path):
+    argv = ["generate", "random_grid", "400", "--extent", "60", "--seed", "5"]
+    out = tmp_path / "random400.txt"
+    proc = run_cli(*argv, "--out", str(out))
+    assert (proc.returncode, proc.stdout) == (0, f"{out} n=400\n")
+    assert out.read_text() == run_cli(*argv).stdout
+
+
+def test_a_profiled_command_still_prints_its_profile():
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "pointline", "constants",
+                           "--c", "71", "--mode", "dirac"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("alpha ")
+    assert re.search(r"^\s*\d+ function calls.* in [\d.]+ seconds$", proc.stdout, flags=re.M)
+
+
+def test_json_writer_errors():
+    # an int json cannot print, with json's message; shapes no payload holds
+    from pointline import cli
+
+    huge = 10**4300
+    with pytest.raises(ValueError) as ours:
+        cli._json({"c": huge}, "\n")
+    with pytest.raises(ValueError) as theirs:
+        json.dumps({"c": huge}, sort_keys=True, indent=2)
+    assert str(ours.value) == str(theirs.value)
+    assert cli._json([huge - 1]) == json.dumps([huge - 1])
+    for value in (0.5, (1, 2)):
+        with pytest.raises(TypeError):
+            cli._json(value)

@@ -1,6 +1,6 @@
 """Property tests drawn by Hypothesis: metamorphic relations of the
-arrangement kernel, the point-file round trip, and the incremental search
-against the reference climb.
+arrangement kernel, the point-file round trip, the incremental search
+against the reference climb, and the CLI's JSON writer against json.
 
 Hypothesis is a test-only extra; without it this module is skipped. Every
 test is derandomized and keeps no example database, so the suite draws the
@@ -8,6 +8,7 @@ same examples on every run; conftest keeps Hypothesis's other caches out
 of the checkout.
 """
 
+import json
 from fractions import Fraction
 from math import comb
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import reference_climb  # noqa: E402
 from pointline import PointSet, compute_arrangement, search_min_dirac  # noqa: E402
+from pointline.cli import _json  # noqa: E402
 from pointline.geometry import _directions, _homogeneous  # noqa: E402
 from pointline.pointfile import format_points, parse_points  # noqa: E402
 
@@ -132,3 +134,25 @@ def test_small_searches_match_the_reference_climb(case):
     degree, consumed, pts = reference_climb(n, extent, iterations, seed)
     assert (res.degree, res.iterations_run) == (degree, consumed)
     assert [(p.x, p.y) for p in res.best_set] == pts
+
+
+json_strings = st.one_of(
+    st.text(),
+    st.text(st.characters(min_codepoint=0x80)),
+    st.text(st.characters(min_codepoint=0x10000)),  # surrogate pairs when escaped
+    st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\b\f\n\r\t ~é\u2028\U0001f600')),
+)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**4299, 10**4299), json_strings)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@fixed(300)
+@given(json_payloads)
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True)
+    assert _json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
