@@ -14,6 +14,10 @@ over too many cutoffs; a search over its work cap; generation failed; a
 constants or verify value whose integers exceed CPython's 4300-digit limit
 on int-string conversion), with empty stdout.
 
+A report's payload keys are its record's field names: _plain walks a
+record's fields, so ArrangementStats, CheckReport, ProofTrace, Interval
+and DeltaBreakdown are rendered without a key list of their own.
+
 Each command imports the library modules it uses when it runs, and its
 parser is filled in only when it is parsed, so a command pays start-up
 only for its own modules. Documents are rendered by _json, which matches
@@ -35,6 +39,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from ._record import Record
 from .errors import (
     BadCutoff,
     BadEps,
@@ -65,64 +70,39 @@ def _rat(value) -> str:
     return str(Fraction(value))
 
 
-def _dec(value, sig: int = 12) -> str:
-    """Decimal preview with sig significant digits, computed without floats."""
+def _dec(value) -> str:
+    """Decimal preview with 12 significant digits, computed without floats."""
     f = Fraction(value)
     with decimal.localcontext() as ctx:
-        ctx.prec = sig
+        ctx.prec = 12
         d = decimal.Decimal(f.numerator) / decimal.Decimal(f.denominator)
     return str(d)
 
 
-def _interval_payload(iv) -> dict:
-    return {
-        "lo": _rat(iv.lo),
-        "lo_decimal": _dec(iv.lo),
-        "hi": _rat(iv.hi),
-        "hi_decimal": _dec(iv.hi),
-    }
+def _plain(value):
+    """value as a document holds it.
 
-
-def _stats_payload(stats) -> dict:
-    return {
-        "n": stats.n,
-        "s": [[i, si] for i, si in stats.s.items()],
-        "lines": stats.lines,
-        "incidences": stats.incidences,
-        "edges": stats.edges,
-        "l_max": stats.l_max,
-        "dirac_degree": stats.dirac_degree,
-        "dirac_witness": stats.dirac_witness,
-    }
-
-
-def _report_payload(r) -> dict:
-    return {
-        "name": r.name,
-        "preconditions_met": r.preconditions_met,
-        "holds": r.holds,
-        "lhs": _rat(r.lhs),
-        "rhs": _rat(r.rhs),
-        "slack": _rat(r.slack),
-        "note": r.note,
-        "parts": [_report_payload(p) for p in r.parts],
-    }
-
-
-def _trace_payload(t) -> dict:
-    return {
-        "name": "proof-trace",
-        "c": t.c,
-        "k": t.k,
-        "eps": _rat(t.eps),
-        "small_pairs": t.small_pairs,
-        "medium_pairs": t.medium_pairs,
-        "large_pairs": t.large_pairs,
-        "small_incidences": t.small_incidences,
-        "medium_incidences": t.medium_incidences,
-        "note": t.note,
-        "step_reports": [_report_payload(r) for r in t.step_reports],
-    }
+    A record becomes a dict of its fields by name, a Fraction its "p/q"
+    string, a tuple a list, and a dict (a line-size histogram) a list of
+    [key, value] pairs. An Interval also carries lo_decimal and hi_decimal
+    previews, and a ProofTrace its check name. Both classes are read from
+    sys.modules rather than imported, so a command loads no module for
+    them; a record of either exists only once its module is loaded.
+    """
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return [[key, _plain(item)] for key, item in value.items()]
+    if not isinstance(value, Record):
+        return value
+    plain = {name: _plain(getattr(value, name)) for name in value._fields}
+    if type(value) is getattr(sys.modules.get(f"{__package__}.constants"), "Interval", None):
+        plain |= {"lo_decimal": _dec(value.lo), "hi_decimal": _dec(value.hi)}
+    elif type(value) is getattr(sys.modules.get(f"{__package__}.audits"), "ProofTrace", None):
+        plain["name"] = "proof-trace"
+    return plain
 
 
 _ESCAPES = {chr(i): f"\\u{i:04x}" for i in range(0x20)} | {
@@ -237,7 +217,7 @@ def _cmd_analyze(args) -> int:
     source, ps = _read_point_file(args.file)
     stats = compute_arrangement(ps)
     if args.json:
-        sys.stdout.write(_document("analyze", source, _stats_payload(stats)))
+        sys.stdout.write(_document("analyze", source, _plain(stats)))
         return EXIT_OK
     rows = [
         ("n", str(stats.n)),
@@ -266,8 +246,8 @@ def _cmd_verify(args) -> int:
     unknown = [t for t in names if t not in CHECK_NAMES]
     if unknown or not names:
         bad = ", ".join(unknown) or "(empty)"
-        print(f"unknown check name: {bad}; valid: {', '.join(CHECK_NAMES)}", file=sys.stderr)
-        return EXIT_UNKNOWN_CHECK
+        raise _CliFailure(EXIT_UNKNOWN_CHECK,
+                          f"unknown check name: {bad}; valid: {', '.join(CHECK_NAMES)}")
     source, ps = _read_point_file(args.file)
     try:
         params = PipelineParams(alpha=args.alpha, beta=args.beta)
@@ -279,10 +259,7 @@ def _cmd_verify(args) -> int:
         for entry in entries:
             failures.extend(entry.binding_failures())
         payload = {
-            "checks": [
-                _trace_payload(e) if isinstance(e, ProofTrace) else _report_payload(e)
-                for e in entries
-            ],
+            "checks": [_plain(entry) for entry in entries],
             "params": {
                 "alpha": _rat(args.alpha),
                 "beta": _rat(args.beta),
@@ -342,18 +319,10 @@ def _cmd_constants(args) -> int:
             if args.eps is None:
                 raise _CliFailure(EXIT_PARSE, "--mode fixed-eps requires --eps")
             bd = delta_of(args.c, args.eps, params, args.tail_width)
-            payload = _constants_payload_common(args) | {
+            payload = _constants_payload_common(args) | _plain(bd) | {
                 "mode": "fixed-eps",
-                "c": bd.c,
-                "eps": _rat(bd.eps),
                 "eps_decimal": _dec(bd.eps),
-                "h": _rat(bd.h),
-                "x": _rat(bd.x),
-                "y": _rat(bd.y),
-                "mid_term": _rat(bd.mid_term),
                 "mid_term_decimal": _dec(bd.mid_term),
-                "tail": _interval_payload(bd.tail),
-                "delta": _interval_payload(bd.delta),
             }
         else:
             eps, delta = solve_fixed_point(args.c, params, args.mode, args.tail_width)
@@ -362,10 +331,10 @@ def _cmd_constants(args) -> int:
                 "c": args.c,
                 "eps": _rat(eps),
                 "eps_decimal": _dec(eps),
-                "delta": _interval_payload(delta),
+                "delta": _plain(delta),
             }
             if args.mode == "beck":
-                payload["beck_constant"] = _interval_payload(beck_constant_from(eps, delta))
+                payload["beck_constant"] = _plain(beck_constant_from(eps, delta))
                 payload["eps_threshold"] = "1/49"
                 payload["eps_at_least_threshold"] = eps >= Fraction(1, 49)
     except (BadCutoff, BadEps, NoSolution, ValueError) as exc:
@@ -388,7 +357,7 @@ def _constants_optimize(args, params) -> dict:
         "best_c": best_c,
         "best_eps": _rat(best_eps),
         "best_eps_decimal": _dec(best_eps),
-        "best_delta": _interval_payload(best_delta),
+        "best_delta": _plain(best_delta),
         "sweep": [
             {
                 "c": c,
@@ -399,9 +368,7 @@ def _constants_optimize(args, params) -> dict:
         ],
     }
     if args.mode == "beck":
-        payload["best_beck_constant"] = _interval_payload(
-            beck_constant_from(best_eps, best_delta)
-        )
+        payload["best_beck_constant"] = _plain(beck_constant_from(best_eps, best_delta))
     return payload
 
 

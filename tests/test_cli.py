@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -549,6 +550,66 @@ def test_constants_output_is_pinned(tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (5, "", message + "\n"), command
 
 
+# Point files that reach each shape of an arrangement or audit document:
+# a grid, the Kelly-Moser 7-point set (slack 0 in Melchior and
+# Kelly-Moser), a near-pencil, a collinear set (every check skipped or
+# non-binding), points of the unit circle (no three collinear) and an
+# empty file.
+REPORT_INPUTS = {
+    "grid5": "".join(f"{x} {y}\n" for x in range(5) for y in range(5)),
+    "kelly-moser7": "0 0\n6 0\n0 6\n3 0\n0 3\n3 3\n2 2\n",
+    "near-pencil": "0 0\n1 0\n2 0\n3 0\n4 0\n0 1\n",
+    "collinear": "".join(f"{i} 0\n" for i in range(5)),
+    "unit-circle": "".join(
+        f"{Fraction(m * m - k * k, m * m + k * k)} {Fraction(2 * m * k, m * m + k * k)}\n"
+        for m in range(1, 6) for k in range(m) if math.gcd(m, k) == 1),
+    "empty": "",
+}
+
+# (exit code, sha256 of stdout) of analyze --json, default verify --json
+# and, on the collinear set, a proof trace, which is reported as skipped.
+REPORT_SHA256 = {
+    ("analyze", "grid5"):
+        (0, "8b119bfd26f8bd40358cca04d60fcd2eed2f5af658ae73a6d4b24c4d02377728"),
+    ("verify", "grid5"):
+        (0, "bdae45cc0dbd6f2a73bf33311428a10c5176e3ee52018fbef3d70d6236776433"),
+    ("analyze", "kelly-moser7"):
+        (0, "857abae280f4dd03dbf1f5f7abd4b5ea2777b9a66926f15694e6deebcfe2b25e"),
+    ("verify", "kelly-moser7"):
+        (0, "c595276b4bce2238248874a808f18a86cc689fbf702d670e960efca9d4310cd2"),
+    ("analyze", "near-pencil"):
+        (0, "8012576e489325419cfbe2f0d52ed00b1fe9f9c7b51e4cd84baf8bfbf52fa813"),
+    ("verify", "near-pencil"):
+        (0, "b53e89668ce3eecc203f9e22f6a3b8dc6a4292750b5c236be414baf4b486401c"),
+    ("analyze", "collinear"):
+        (0, "e29584c1de0de03777462de1beb6a514e4b60dfda11b140e2b8de566b8924e2c"),
+    ("verify", "collinear"):
+        (0, "b8950c480648cc3305194fe2e63a419dd7a941b1ff1efb3b3f403bb5f3b2a7b2"),
+    ("analyze", "unit-circle"):
+        (0, "f3a252b854ee7ef77535c9d3ef8745156ab1d8acddf6130c91b56220a5cac789"),
+    ("verify", "unit-circle"):
+        (0, "fdd542f832e4b88ec5833ab143561a1bd8b16a2fa0ce6bfd85ec9c9cfea178fe"),
+    ("analyze", "empty"):
+        (0, "db03007c786cf362962838cff202bc778230f7c8985358d9d85cf655dabb4281"),
+    ("verify", "empty"):
+        (0, "ed700dfc9e426d942dd7d00abd9860c5bf8ffc5c0c0d358f6ed954fe6b044625"),
+    ("verify", "collinear", "--check", "proof-trace"):
+        (0, "545c2bfa23cec49f45e845b191061c5bf8df28b5cf8f35d3f03e99a32318b982"),
+}
+
+
+def test_report_documents_are_pinned(tmp_path):
+    paths = {}
+    for name, text in REPORT_INPUTS.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    for (command, name, *flags), expected in REPORT_SHA256.items():
+        proc = subprocess.run(CMD + [command, str(paths[name]), *flags, "--json"],
+                              capture_output=True)
+        assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == expected, (
+            command, name, *flags)
+
+
 # sha256 of each --help text as argparse prints it at 80 columns. The
 # parsers are filled in lazily, per subcommand; the text must not change.
 HELP_SHA256 = {
@@ -594,12 +655,19 @@ def test_parser_defaults_and_choices_come_from_the_library():
     assert f"choose from {', '.join(map(repr, (*MODES, 'fixed-eps')))}" in proc.stderr
 
 
-def _imported(*args, tmp_path) -> set:
+def _importtime(*args, tmp_path) -> set:
     """The modules a python run imports, from its -X importtime report."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           capture_output=True, text=True, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     return set(re.findall(r"^import time:.*\|\s*(\S+)$", proc.stderr, flags=re.M))
+
+
+def _imported(*args, tmp_path) -> set:
+    """The modules a python run imports beyond those that start-up alone
+    imports (`python -c pass` under the same interpreter and environment),
+    such as what a site .pth file loads before pointline runs."""
+    return _importtime(*args, tmp_path=tmp_path) - _importtime("-c", "pass", tmp_path=tmp_path)
 
 
 def test_each_command_imports_only_its_modules(tmp_path):
