@@ -5,15 +5,18 @@ and reports exact lhs/rhs/slack values. Checks never fail silently and
 never round: a report is produced even when the inequality's hypothesis
 does not hold, flagged non-binding via preconditions_met.
 
-Compound checks carry their sub-verdicts in parts; the top-level holds is
-the conjunction over binding parts (over all parts when none is binding),
-and the top-level lhs/rhs/slack are copied from the tightest part.
+Compound checks carry their sub-verdicts in parts and are all built by
+combine_reports: the top-level holds is the conjunction over binding parts
+(over all parts when none is binding), and the top-level lhs/rhs/slack are
+copied from the tightest part.
 
 CHECK_NAMES lists the checks by the names the command line uses, and
 run_check(name, ...) runs one of them: "stt" over every level 2..l_max,
-"proof-trace" as audit_proof_steps, the rest as check_<name>. A check that
-refuses its input (CollinearInput, PreconditionViolated) comes back as a
-skipped report: non-binding, all values zero, its note "skipped: <reason>".
+"proof-trace" as audit_proof_steps, the rest as check_<name>. Every report
+carries that name in its name field, a ProofTrace's being "proof-trace". A
+check that refuses its input (CollinearInput, PreconditionViolated) comes
+back as a skipped report: non-binding, all values zero, its note
+"skipped: <reason>".
 """
 
 from __future__ import annotations
@@ -62,14 +65,8 @@ def _le(name, lhs, rhs, preconditions_met=True, note="") -> CheckReport:
     return CheckReport(name, preconditions_met, lhs <= rhs, lhs, rhs, rhs - lhs, note)
 
 
-def _gt(name, lhs, rhs, preconditions_met=True, note="") -> CheckReport:
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
-    holds = lhs > rhs
-    text = "strict inequality" + (f"; {note}" if note else "")
-    return CheckReport(name, preconditions_met, holds, lhs, rhs, lhs - rhs, text)
-
-
-def _compound(name, parts, preconditions_met=True, note="") -> CheckReport:
+def combine_reports(name, parts, preconditions_met=True, note="") -> CheckReport:
+    """One report over parts: the compound rule of the module docstring."""
     parts = tuple(parts)
     if not parts:
         z = Fraction(0)
@@ -82,11 +79,6 @@ def _compound(name, parts, preconditions_met=True, note="") -> CheckReport:
     return CheckReport(
         name, preconditions_met, holds, pick.lhs, pick.rhs, pick.slack, note, parts
     )
-
-
-def combine_reports(name, parts, preconditions_met=True, note="") -> CheckReport:
-    """Public composition point for callers that bundle several reports."""
-    return _compound(name, parts, preconditions_met, note)
 
 
 def check_melchior(stats: ArrangementStats) -> CheckReport:
@@ -110,7 +102,7 @@ def check_kelly_moser(stats: ArrangementStats) -> CheckReport:
         _ge("kelly-moser-incidences", 3 * stats.lines, 3 + stats.incidences, ok),
         _ge("kelly-moser-edges", 2 * stats.lines, 3 + stats.edges, ok),
     )
-    return _compound("kelly-moser", parts, preconditions_met=ok)
+    return combine_reports("kelly-moser", parts, preconditions_met=ok)
 
 
 def check_stt(
@@ -134,7 +126,7 @@ def check_stt(
         _le(f"stt-edges(i={i})", edge_lhs, edge_rhs),
         _le(f"stt-lines(i={i})", line_lhs, line_rhs),
     )
-    return _compound(f"stt(i={i})", parts)
+    return combine_reports(f"stt(i={i})", parts)
 
 
 def check_main(stats: ArrangementStats) -> CheckReport:
@@ -164,29 +156,29 @@ def check_main(stats: ArrangementStats) -> CheckReport:
             note="" if applicable else f"not applicable: l_max {stats.l_max} > n/37",
         ),
     )
-    return _compound("main", parts)
+    return combine_reports("main", parts)
 
 
 def check_beck(stats: ArrangementStats) -> CheckReport:
-    """The 1/98 line-count split at l = l_max, all four pieces.
+    """The 1/98 line-count split at l, the largest collinear subset.
 
+    l is l_max when n >= 2 and n itself when n < 2: a lone point lies on
+    no line, yet is a collinear set of size 1. All four pieces:
     (i) L >= n(n-l)/98, (ii) E >= l(n-l), (iii) 2(s_2+s_3) > L when not
     all collinear, (iv) s_2 + s_3 >= n(n-l)/196.
     """
-    n, l = stats.n, stats.l_max
+    n = stats.n
+    l = stats.l_max if n >= 2 else n
     few = stats.s.get(2, 0) + stats.s.get(3, 0)
+    twice_few, lines = Fraction(2 * few), Fraction(stats.lines)
     parts = (
-        _ge("beck-lines", Fraction(stats.lines), Fraction(n * (n - l), 98)),
-        _ge("beck-edges", Fraction(stats.edges), Fraction(l * (n - l))),
-        _gt(
-            "beck-few-point-lines",
-            Fraction(2 * few),
-            Fraction(stats.lines),
-            preconditions_met=is_noncollinear(stats),
-        ),
-        _ge("beck-few-line-count", Fraction(few), Fraction(n * (n - l), 196)),
+        _ge("beck-lines", lines, Fraction(n * (n - l), 98)),
+        _ge("beck-edges", stats.edges, l * (n - l)),
+        CheckReport("beck-few-point-lines", is_noncollinear(stats), twice_few > lines,
+                    twice_few, lines, twice_few - lines, "strict inequality"),
+        _ge("beck-few-line-count", few, Fraction(n * (n - l), 196)),
     )
-    return _compound("beck", parts)
+    return combine_reports("beck", parts)
 
 
 class ProofTrace(Record):
@@ -209,6 +201,7 @@ class ProofTrace(Record):
     medium_incidences: int
     step_reports: tuple[CheckReport, ...]
     note: str = ""
+    name: str = "proof-trace"
 
     def binding_failures(self) -> list[str]:
         found = []

@@ -15,8 +15,10 @@ constants or verify value whose integers exceed CPython's 4300-digit limit
 on int-string conversion), with empty stdout.
 
 A report's payload keys are its record's field names: _plain walks a
-record's fields, so ArrangementStats, CheckReport, ProofTrace, Interval
-and DeltaBreakdown are rendered without a key list of their own.
+record's fields, so ArrangementStats, CheckReport, ProofTrace, Interval,
+DeltaBreakdown and PipelineParams are rendered without a key list of
+their own, and _plain renders every rational a document holds. Human
+verify prints a skipped check as "NAME: skipped: REASON", from its note.
 
 Each command imports the library modules it uses when it runs, and its
 parser is filled in only when it is parsed, so a command pays start-up
@@ -37,7 +39,6 @@ import decimal
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from ._record import Record
 from .errors import (
@@ -66,10 +67,6 @@ class _CliFailure(Exception):
         self.message = message
 
 
-def _rat(value) -> str:
-    return str(Fraction(value))
-
-
 def _dec(value) -> str:
     """Decimal preview with 12 significant digits, computed without floats."""
     f = Fraction(value)
@@ -85,9 +82,9 @@ def _plain(value):
     A record becomes a dict of its fields by name, a Fraction its "p/q"
     string, a tuple a list, and a dict (a line-size histogram) a list of
     [key, value] pairs. An Interval also carries lo_decimal and hi_decimal
-    previews, and a ProofTrace its check name. Both classes are read from
-    sys.modules rather than imported, so a command loads no module for
-    them; a record of either exists only once its module is loaded.
+    previews. Its class is read from sys.modules rather than imported, so a
+    command loads no module for it; an Interval exists only once its
+    module is loaded.
     """
     if isinstance(value, Fraction):
         return str(value)
@@ -100,8 +97,6 @@ def _plain(value):
     plain = {name: _plain(getattr(value, name)) for name in value._fields}
     if type(value) is getattr(sys.modules.get(f"{__package__}.constants"), "Interval", None):
         plain |= {"lo_decimal": _dec(value.lo), "hi_decimal": _dec(value.hi)}
-    elif type(value) is getattr(sys.modules.get(f"{__package__}.audits"), "ProofTrace", None):
-        plain["name"] = "proof-trace"
     return plain
 
 
@@ -182,7 +177,8 @@ def _read_point_file(path: str) -> tuple:
     from .pointfile import parse_points
 
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise _CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from None
     try:
@@ -238,7 +234,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .audits import CHECK_NAMES, ProofTrace, run_check
+    from .audits import CHECK_NAMES, CheckReport, run_check
     from .constants import PipelineParams, delta_of
     from .geometry import compute_arrangement
 
@@ -260,12 +256,7 @@ def _cmd_verify(args) -> int:
             failures.extend(entry.binding_failures())
         payload = {
             "checks": [_plain(entry) for entry in entries],
-            "params": {
-                "alpha": _rat(args.alpha),
-                "beta": _rat(args.beta),
-                "c": args.c,
-                "eps": _rat(args.eps),
-            },
+            "params": _plain(params) | {"c": args.c, "eps": _plain(args.eps)},
             "binding_failures": failures,
         }
     except (BadCutoff, BadEps, ValueError) as exc:
@@ -274,19 +265,21 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(_document("verify", source, payload))
     else:
         for entry in entries:
-            if isinstance(entry, ProofTrace):
-                tally = entry.small_pairs + entry.medium_pairs + entry.large_pairs
-                print(f"proof-trace: c={entry.c} k={entry.k} pairs {entry.small_pairs}"
-                      f"+{entry.medium_pairs}+{entry.large_pairs}={tally}")
-                for r in entry.step_reports:
-                    print(f"  {_human_check_line(r)}")
-            else:
+            if isinstance(entry, CheckReport):
                 print(_human_check_line(entry))
+                continue
+            tally = entry.small_pairs + entry.medium_pairs + entry.large_pairs
+            print(f"{entry.name}: c={entry.c} k={entry.k} pairs {entry.small_pairs}"
+                  f"+{entry.medium_pairs}+{entry.large_pairs}={tally}")
+            for r in entry.step_reports:
+                print(f"  {_human_check_line(r)}")
         print(f"binding failures: {len(failures)}")
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 def _human_check_line(r) -> str:
+    if r.note.startswith("skipped: "):
+        return f"{r.name}: {r.note}"
     verdict = "holds" if r.holds else "FAILS"
     flag = "" if r.preconditions_met else " (non-binding: hypothesis not met)"
     return f"{r.name}: {verdict}{flag} lhs={r.lhs} rhs={r.rhs} slack={r.slack}"
@@ -296,40 +289,33 @@ def _human_check_line(r) -> str:
 # constants
 
 
-def _constants_payload_common(args) -> dict:
-    return {
-        "alpha": _rat(args.alpha),
-        "beta": _rat(args.beta),
-        "tail_width": _rat(args.tail_width),
-    }
-
-
 def _cmd_constants(args) -> int:
     from .constants import PipelineParams, beck_constant_from, delta_of, solve_fixed_point
 
     try:
         params = PipelineParams(alpha=args.alpha, beta=args.beta)
+        common = _plain(params) | {"tail_width": _plain(args.tail_width)}
         if args.optimize:
             if args.mode == "fixed-eps":
                 raise _CliFailure(EXIT_PARSE, "--optimize needs --mode dirac or beck")
-            payload = _constants_optimize(args, params)
+            payload = common | _constants_optimize(args, params)
         elif args.c is None:
             raise _CliFailure(EXIT_PARSE, "--c is required unless --optimize is given")
         elif args.mode == "fixed-eps":
             if args.eps is None:
                 raise _CliFailure(EXIT_PARSE, "--mode fixed-eps requires --eps")
             bd = delta_of(args.c, args.eps, params, args.tail_width)
-            payload = _constants_payload_common(args) | _plain(bd) | {
+            payload = common | _plain(bd) | {
                 "mode": "fixed-eps",
                 "eps_decimal": _dec(bd.eps),
                 "mid_term_decimal": _dec(bd.mid_term),
             }
         else:
             eps, delta = solve_fixed_point(args.c, params, args.mode, args.tail_width)
-            payload = _constants_payload_common(args) | {
+            payload = common | {
                 "mode": args.mode,
                 "c": args.c,
-                "eps": _rat(eps),
+                "eps": _plain(eps),
                 "eps_decimal": _dec(eps),
                 "delta": _plain(delta),
             }
@@ -350,18 +336,18 @@ def _constants_optimize(args, params) -> dict:
         sweep_fixed_points(args.c_min, args.c_max, params, args.mode, args.tail_width)
     )
     best_c, (best_eps, best_delta) = best_cutoff(entries)
-    payload = _constants_payload_common(args) | {
+    payload = {
         "mode": args.mode,
         "c_min": args.c_min,
         "c_max": args.c_max,
         "best_c": best_c,
-        "best_eps": _rat(best_eps),
+        "best_eps": _plain(best_eps),
         "best_eps_decimal": _dec(best_eps),
         "best_delta": _plain(best_delta),
         "sweep": [
             {
                 "c": c,
-                "delta_lo": None if delta is None else _rat(delta.lo),
+                "delta_lo": None if delta is None else _plain(delta.lo),
                 "delta_lo_decimal": None if delta is None else _dec(delta.lo),
             }
             for c, _eps, delta in entries
@@ -408,7 +394,8 @@ def _cmd_generate(args) -> int:
     text = format_points(ps)
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
         except OSError as exc:
             raise _CliFailure(EXIT_PARSE, f"cannot write {args.out}: {exc}") from None
         print(f"{args.out} n={ps.n}")
@@ -437,9 +424,9 @@ def _cmd_search(args) -> int:
         "seed": result.seed,
         "rng": result.rng_algorithm,
         "degree": result.degree,
-        "ratio": _rat(result.ratio),
+        "ratio": _plain(result.ratio),
         "ratio_decimal": _dec(result.ratio),
-        "points": [[_rat(p.x), _rat(p.y)] for p in result.best_set],
+        "points": [_plain((p.x, p.y)) for p in result.best_set],
     }
     if args.json:
         entries = {"command": "search", "n": args.n, "extent": args.extent,

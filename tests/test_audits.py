@@ -155,6 +155,18 @@ def test_beck():
     assert rep.binding_failures() == []
 
 
+def test_beck_takes_l_as_the_largest_collinear_subset():
+    # l is l_max from two points on; a lone point is a collinear set of
+    # size 1 although it lies on no line, so n - l is 0 for n < 2
+    for coords, l in (([], 0), ([(Fraction(1, 2), Fraction(-3, 7))], 1), ([(0, 0), (1, 1)], 2)):
+        stats = compute_arrangement(PointSet.from_coords(coords))
+        rep = check_beck(stats)
+        by_name = {p.name: p for p in rep.parts}
+        assert by_name["beck-lines"].rhs == Fraction(len(coords) * (len(coords) - l), 98)
+        assert by_name["beck-edges"].rhs == 0
+        assert rep.holds and rep.binding_failures() == [], coords
+
+
 def test_combine_reports():
     a = check_melchior(GRID3)
     b = check_kelly_moser(GRID3)
@@ -166,6 +178,7 @@ def test_combine_reports():
 
 def test_proof_trace_5x5():
     tr = audit_proof_steps(GRID5, c=8, eps=Fraction(1, 4), params=PipelineParams())
+    assert tr.name == "proof-trace"
     assert tr.c == 8
     assert tr.k == 3
     assert (tr.small_pairs, tr.medium_pairs, tr.large_pairs) == (300, 0, 0)

@@ -125,6 +125,36 @@ def test_verify_binding_failure_exit_1(tmp_path):
     assert payload["binding_failures"] != []
 
 
+def test_verify_of_fewer_than_three_points_exits_0(tmp_path):
+    # Beck's l is the largest collinear subset: a lone point is one, so its
+    # n(n-l)/98 and n(n-l)/196 bounds are 0 and hold
+    for name, text in (("zero.txt", ""), ("one.txt", "1/2 -3/7\n"), ("two.txt", "0 0\n1 1\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        proc = run_cli("verify", str(path), "--json")
+        assert proc.returncode == 0, name
+        payload = json.loads(proc.stdout)["payload"]
+        assert payload["binding_failures"] == [], name
+        beck = payload["checks"][-1]
+        assert (beck["name"], beck["holds"]) == ("beck", True), name
+        proc = run_cli("verify", str(path))
+        assert proc.returncode == 0, name
+        assert "beck: holds" in proc.stdout and "binding failures: 0" in proc.stdout, name
+
+
+def test_verify_human_prints_a_skipped_check_with_its_reason(tmp_path):
+    col = tmp_path / "col.txt"
+    col.write_text("".join(f"{i} 0\n" for i in range(5)))
+    two = tmp_path / "two.txt"
+    two.write_text("0 0\n1 1\n")
+    proc = run_cli("verify", str(col), "--check", "proof-trace")
+    assert (proc.returncode, proc.stdout) == (
+        0, "proof-trace: skipped: l_max = 5 exceeds eps*n = 499/200\nbinding failures: 0\n")
+    proc = run_cli("verify", str(two), "--check", "main")
+    assert (proc.returncode, proc.stdout) == (
+        0, "main: skipped: need at least 3 points, got 2\nbinding failures: 0\n")
+
+
 def test_verify_unknown_check_exit_4(tmp_path):
     proc = run_cli("verify", write_grid(tmp_path), "--check", "melchoir")
     assert proc.returncode == 4
@@ -567,7 +597,8 @@ REPORT_INPUTS = {
 }
 
 # (exit code, sha256 of stdout) of analyze --json, default verify --json
-# and, on the collinear set, a proof trace, which is reported as skipped.
+# and two proof traces: on the grid, where l_max 5 <= 25/4, and on the
+# collinear set, where it is reported as skipped.
 REPORT_SHA256 = {
     ("analyze", "grid5"):
         (0, "8b119bfd26f8bd40358cca04d60fcd2eed2f5af658ae73a6d4b24c4d02377728"),
@@ -593,6 +624,8 @@ REPORT_SHA256 = {
         (0, "db03007c786cf362962838cff202bc778230f7c8985358d9d85cf655dabb4281"),
     ("verify", "empty"):
         (0, "ed700dfc9e426d942dd7d00abd9860c5bf8ffc5c0c0d358f6ed954fe6b044625"),
+    ("verify", "grid5", "--check", "proof-trace", "--c", "8", "--eps", "1/4"):
+        (0, "a47a096e6e22ab4a89c3d99ce96a2f55bcecaa784f019ce40ad1fbf7d9cdd23a"),
     ("verify", "collinear", "--check", "proof-trace"):
         (0, "545c2bfa23cec49f45e845b191061c5bf8df28b5cf8f35d3f03e99a32318b982"),
 }
@@ -688,9 +721,11 @@ def test_each_command_imports_only_its_modules(tmp_path):
     search = _imported("-m", "pointline", "search", "--n", "12", "--extent", "11",
                        "--iters", "300", "--seed", "1", "--json", tmp_path=tmp_path)
     assert "pointline.generators" in search
-    # documents are rendered by cli's own writer
+    # documents are rendered by cli's own writer, and files read and written
+    # with open
     for imported in (constants, analyze, verify, search):
-        assert not imported & {"json", "json.decoder", "json.scanner", "json.encoder"}
+        assert not imported & {"json", "json.decoder", "json.scanner", "json.encoder",
+                               "pathlib"}
     # only a JSON document is hashed
     human = _imported("-m", "pointline", "constants", "--c", "71", "--mode", "dirac",
                       tmp_path=tmp_path)
