@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, floor
 
 from ._record import Record
-from .constants import DEFAULT_TAIL_WIDTH, DeltaBreakdown, PipelineParams, delta_of
+from .constants import DeltaBreakdown, PipelineParams
 from .errors import CollinearInput, PreconditionViolated
 from .geometry import ArrangementStats, is_noncollinear, require_noncollinear, subgraph_edge_count
 
@@ -106,7 +106,7 @@ def check_kelly_moser(stats: ArrangementStats) -> CheckReport:
 
 
 def check_stt(
-    stats: ArrangementStats, i: int, params: PipelineParams | None = None
+    stats: ArrangementStats, i: int, params: PipelineParams = PipelineParams()
 ) -> CheckReport:
     """Level-i crossing-lemma counts: both tail sums stay under their caps.
 
@@ -115,7 +115,6 @@ def check_stt(
     """
     if i < 2:
         raise ValueError(f"level must be >= 2, got {i}")
-    params = params or PipelineParams()
     n = stats.n
     edge_lhs = Fraction(subgraph_edge_count(stats, i))
     line_lhs = Fraction(sum(sj for j, sj in stats.s.items() if j >= i))
@@ -212,12 +211,8 @@ class ProofTrace(Record):
 
 def audit_proof_steps(
     stats: ArrangementStats,
-    c: int,
-    eps,
-    params: PipelineParams | None = None,
-    tail_width: Fraction = DEFAULT_TAIL_WIDTH,
-    *,
-    breakdown: DeltaBreakdown | None = None,
+    breakdown: DeltaBreakdown,
+    params: PipelineParams = PipelineParams(),
 ) -> ProofTrace:
     """Audit the four tally bounds behind the incidence lower bound.
 
@@ -229,14 +224,11 @@ def audit_proof_steps(
 
     All comparisons are exact rationals except (3), which substitutes the
     certified upper end of the tail enclosure for T(c): a true instance
-    can only gain slack from that, never flip verdict. h, X, Y(c+1)/c^3 and
-    T(c) come from delta_of, which validates c, eps and tail_width first;
-    a caller that has already evaluated delta_of(c, eps, params, tail_width)
-    passes it as breakdown, and it is not evaluated again.
+    can only gain slack from that, never flip verdict. c, eps, h, X,
+    Y(c+1)/c^3 and T(c) are read from breakdown, delta_of(c, eps, params),
+    which has validated c, eps and the tail width.
     """
-    params = params or PipelineParams()
-    bd = delta_of(c, eps, params, tail_width) if breakdown is None else breakdown
-    h, x, eps = bd.h, bd.x, bd.eps
+    c, h, x, eps = breakdown.c, breakdown.h, breakdown.x, breakdown.eps
     n = stats.n
     if stats.l_max > eps * n:
         raise PreconditionViolated(
@@ -274,25 +266,23 @@ def audit_proof_steps(
     )
 
     if mediums:
-        worst = None
-        for i in mediums:
-            lhs = Fraction(sum(j * sj for j, sj in stats.s.items() if j >= i))
-            rhs = params.beta * n * n * i / Fraction(2 * (i - 1) ** 3)
-            if worst is None or rhs - lhs < worst[1] - worst[0]:
-                worst = (lhs, rhs, i)
-        step2 = _le(
-            "medium-lines",
-            worst[0],
-            worst[1],
-            note=f"tightest of {len(mediums)} medium levels, at i={worst[2]}",
+        levels = (
+            _le(
+                "medium-lines",
+                sum(j * sj for j, sj in stats.s.items() if j >= i),
+                params.beta * n * n * i / Fraction(2 * (i - 1) ** 3),
+                note=f"tightest of {len(mediums)} medium levels, at i={i}",
+            )
+            for i in mediums
         )
+        step2 = min(levels, key=lambda r: r.slack)  # the first level wins a tie
     else:
         step2 = _le("medium-lines", Fraction(0), Fraction(0), note="no medium levels")
 
     step3 = _le(
         "medium-pairs",
         medium_p - x * medium_i,
-        params.beta * n * n / 4 * (bd.mid_term + bd.tail.hi),
+        params.beta * n * n / 4 * (breakdown.mid_term + breakdown.tail.hi),
         note="tail replaced by its certified upper bound",
     )
 
@@ -315,18 +305,17 @@ def audit_proof_steps(
 def run_check(name, stats, params, breakdown):
     """The report of the check called name (one of CHECK_NAMES) on stats.
 
-    breakdown, delta_of's DeltaBreakdown at the trace's cutoff, eps and
-    tail width, is read by "proof-trace" only. The check
-    functions are looked up when called, so a wrapper put in their place
-    in this module is the one that runs.
+    breakdown, delta_of(c, eps, params) at the trace's cutoff and eps, is
+    read by "proof-trace" only. The check functions are looked up when
+    called, so a wrapper put in their place in this module is the one that
+    runs.
     """
     try:
         if name == "stt":
             reports = tuple(check_stt(stats, i, params) for i in range(2, stats.l_max + 1))
             return combine_reports("stt", reports, note=f"levels 2..{stats.l_max}")
         if name == "proof-trace":
-            return audit_proof_steps(stats, breakdown.c, breakdown.eps, params,
-                                     breakdown=breakdown)
+            return audit_proof_steps(stats, breakdown, params)
         return globals()["check_" + name.replace("-", "_")](stats)
     except (CollinearInput, PreconditionViolated) as exc:
         zero = Fraction(0)

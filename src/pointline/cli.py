@@ -7,12 +7,13 @@ keys, a trailing newline, "p/q" strings for rationals and decimal-string
 previews with at least 10 significant digits; floats never appear.
 
 Exit codes: 0 success / all binding checks hold; 1 a binding check failed;
-2 unparseable input (file or flags) or an output file that cannot be
-written; 3 duplicate points; 4 unknown check name; 5 domain errors (no
-fixed point; a cutoff, eps, alpha, beta or tail width out of range; a sweep
-over too many cutoffs; a search over its work cap; generation failed; a
-constants or verify value whose integers exceed CPython's 4300-digit limit
-on int-string conversion), with empty stdout.
+2 unparseable input (file or flags, a constants flag that its mode would
+not read included) or an output file that cannot be written; 3 duplicate
+points; 4 unknown check name; 5 domain errors (no fixed point; a cutoff,
+eps, alpha, beta or tail width out of range; a sweep over too many
+cutoffs; a search over its work cap; generation failed; a constants or
+verify value whose integers exceed CPython's 4300-digit limit on
+int-string conversion), with empty stdout.
 
 A report's payload keys are its record's field names: _plain walks a
 record's fields, so ArrangementStats, CheckReport, ProofTrace, Interval,
@@ -246,9 +247,10 @@ def _cmd_verify(args) -> int:
                           f"unknown check name: {bad}; valid: {', '.join(CHECK_NAMES)}")
     source, ps = _read_point_file(args.file)
     try:
-        params = PipelineParams(alpha=args.alpha, beta=args.beta)
-        # Refuses a bad --eps, --c or --tail-width whichever checks run.
-        breakdown = delta_of(args.c, args.eps, params, args.tail_width)
+        # Refuses a bad --alpha, --beta, --tail-width, --eps or --c, in
+        # that order, whichever checks run.
+        params = PipelineParams(alpha=args.alpha, beta=args.beta, tail_width=args.tail_width)
+        breakdown = delta_of(args.c, args.eps, params)
         stats = compute_arrangement(ps)
         entries = [run_check(name, stats, params, breakdown) for name in names]
         failures: list[str] = []
@@ -292,28 +294,33 @@ def _human_check_line(r) -> str:
 def _cmd_constants(args) -> int:
     from .constants import PipelineParams, beck_constant_from, delta_of, solve_fixed_point
 
+    fixed_eps, optimize = args.mode == "fixed-eps", args.optimize
     try:
-        params = PipelineParams(alpha=args.alpha, beta=args.beta)
-        common = _plain(params) | {"tail_width": _plain(args.tail_width)}
-        if args.optimize:
-            if args.mode == "fixed-eps":
-                raise _CliFailure(EXIT_PARSE, "--optimize needs --mode dirac or beck")
+        params = PipelineParams(alpha=args.alpha, beta=args.beta, tail_width=args.tail_width)
+        # The first rule the flags break is refused: a flag is never ignored.
+        for broken, message in (
+            (optimize and fixed_eps, "--optimize needs --mode dirac or beck"),
+            (optimize and args.c is not None, "--c is not read under --optimize"),
+            (not optimize and args.c is None, "--c is required unless --optimize is given"),
+            (not optimize and (args.c_min, args.c_max) != (None, None),
+             "--c-min and --c-max need --optimize"),
+            (fixed_eps and args.eps is None, "--mode fixed-eps requires --eps"),
+            (not fixed_eps and args.eps is not None, "--eps needs --mode fixed-eps"),
+        ):
+            if broken:
+                raise _CliFailure(EXIT_PARSE, message)
+        common = _plain(params) | {"mode": args.mode}
+        if optimize:
             payload = common | _constants_optimize(args, params)
-        elif args.c is None:
-            raise _CliFailure(EXIT_PARSE, "--c is required unless --optimize is given")
-        elif args.mode == "fixed-eps":
-            if args.eps is None:
-                raise _CliFailure(EXIT_PARSE, "--mode fixed-eps requires --eps")
-            bd = delta_of(args.c, args.eps, params, args.tail_width)
+        elif fixed_eps:
+            bd = delta_of(args.c, args.eps, params)
             payload = common | _plain(bd) | {
-                "mode": "fixed-eps",
                 "eps_decimal": _dec(bd.eps),
                 "mid_term_decimal": _dec(bd.mid_term),
             }
         else:
-            eps, delta = solve_fixed_point(args.c, params, args.mode, args.tail_width)
+            eps, delta = solve_fixed_point(args.c, params, args.mode)
             payload = common | {
-                "mode": args.mode,
                 "c": args.c,
                 "eps": _plain(eps),
                 "eps_decimal": _dec(eps),
@@ -332,14 +339,13 @@ def _cmd_constants(args) -> int:
 def _constants_optimize(args, params) -> dict:
     from .constants import beck_constant_from, best_cutoff, sweep_fixed_points
 
-    entries = list(
-        sweep_fixed_points(args.c_min, args.c_max, params, args.mode, args.tail_width)
-    )
+    c_min = 8 if args.c_min is None else args.c_min
+    c_max = 200 if args.c_max is None else args.c_max
+    entries = list(sweep_fixed_points(c_min, c_max, params, args.mode))
     best_c, (best_eps, best_delta) = best_cutoff(entries)
     payload = {
-        "mode": args.mode,
-        "c_min": args.c_min,
-        "c_max": args.c_max,
+        "c_min": c_min,
+        "c_max": c_max,
         "best_c": best_c,
         "best_eps": _plain(best_eps),
         "best_eps_decimal": _dec(best_eps),
@@ -464,13 +470,12 @@ class _Subcommand(argparse.ArgumentParser):
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    """--alpha, --beta and --tail-width, defaulting to the library's values."""
-    from .constants import DEFAULT_TAIL_WIDTH, PipelineParams
+    """One flag per PipelineParams field (--alpha, --beta, --tail-width),
+    defaulting to the library's value."""
+    from .constants import PipelineParams
 
-    defaults = PipelineParams()
-    p.add_argument("--alpha", type=_rational_flag, default=defaults.alpha)
-    p.add_argument("--beta", type=_rational_flag, default=defaults.beta)
-    p.add_argument("--tail-width", type=_rational_flag, default=DEFAULT_TAIL_WIDTH)
+    for name, default in PipelineParams._defaults.items():
+        p.add_argument("--" + name.replace("_", "-"), type=_rational_flag, default=default)
 
 
 def _analyze_arguments(p: argparse.ArgumentParser) -> None:
@@ -501,8 +506,8 @@ def _constants_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=_rational_flag, help="eps for --mode fixed-eps")
     _add_pipeline_flags(p)
     p.add_argument("--optimize", action="store_true", help="sweep c-min..c-max")
-    p.add_argument("--c-min", type=int, default=8)
-    p.add_argument("--c-max", type=int, default=200)
+    p.add_argument("--c-min", type=int)
+    p.add_argument("--c-max", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_constants)
 

@@ -6,6 +6,10 @@ certified interval for the incidence coefficient
     delta = (1/(h+1)) * (1 - eps*alpha - (beta/2) * (Y*(c+1)/c^3 + T(c)))
 
 with h = c(c-2)/(5c-18), Y = c - h - 2 and T(c) = sum_{i>=c} (i+1)/i^3.
+Besides c and eps, every value depends only on a PipelineParams record:
+the crossing-lemma constants alpha and beta, and the width bound
+tail_width of the enclosure of T(c). delta_of, solve_fixed_point,
+sweep_fixed_points, optimize_c and beck_constant take that one record.
 
 Every quantity except T(c) is an exact rational. T(c) is irrational, so it
 is enclosed two-sided: an exact partial sum up to N = max(c, 32), plus the
@@ -62,14 +66,18 @@ MODES = tuple(_LAMBDA)
 
 
 class PipelineParams(Record):
-    """Crossing-lemma constants used by the pipeline.
+    """Everything the pipeline is parameterised by, besides c and eps.
 
-    alpha may be zero (the self-term then drops out of the fixed point);
-    beta must be positive.
+    alpha and beta are the crossing-lemma constants, by default those of
+    Pach-Radoicic-Tardos-Toth (2006). alpha may be zero (the self-term then
+    drops out of the fixed point); beta must be positive. tail_width bounds
+    the width of every tail enclosure of T(c); checked_tail_width refuses
+    it, after alpha and beta, unless it is at least MIN_TAIL_WIDTH.
     """
 
     alpha: Fraction = Fraction(103, 16)
     beta: Fraction = Fraction(31827, 1024)
+    tail_width: Fraction = DEFAULT_TAIL_WIDTH
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -78,6 +86,7 @@ class PipelineParams(Record):
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
+        object.__setattr__(self, "tail_width", checked_tail_width(self.tail_width))
 
 
 class Interval(Record):
@@ -257,17 +266,15 @@ def _delta_at(c: int, t: Fraction, eps: Fraction, params: PipelineParams) -> Fra
 def delta_of(
     c: int,
     eps,
-    params: PipelineParams | None = None,
-    tail_width: Fraction = DEFAULT_TAIL_WIDTH,
+    params: PipelineParams = PipelineParams(),
 ) -> DeltaBreakdown:
     """Certified interval for delta at a fixed eps, with full breakdown.
 
     The interval may be negative; interpreting it is the caller's concern.
     """
-    params = params or PipelineParams()
     eps = checked_eps(eps)
     h = h_of(c)
-    tail = tail_sum(c, tail_width)
+    tail = tail_sum(c, params.tail_width)
     return DeltaBreakdown(
         c=c,
         h=h,
@@ -288,9 +295,8 @@ def _lam(mode: str) -> Fraction:
 
 def solve_fixed_point(
     c: int,
-    params: PipelineParams | None = None,
+    params: PipelineParams = PipelineParams(),
     mode: str = "dirac",
-    tail_width: Fraction = DEFAULT_TAIL_WIDTH,
 ) -> tuple[Fraction, Interval]:
     """Certified fixed point: mode "dirac" solves eps = delta(eps), mode
     "beck" solves eps = (2/3) * delta(eps). Returns (eps, delta interval).
@@ -301,10 +307,9 @@ def solve_fixed_point(
     certified lower bound: delta.lo == eps / lam identically, so delta.lo
     is returned as eps / lam and only delta.hi (at tail.lo) is evaluated.
     """
-    params = params or PipelineParams()
     lam = _lam(mode)
     _check_cutoff(c)
-    tail = tail_sum(c, tail_width)
+    tail = tail_sum(c, params.tail_width)
     num, den = _base(c, tail.hi, params.beta)
     if num <= 0:
         raise NoSolution(
@@ -324,9 +329,8 @@ def solve_fixed_point(
 def sweep_fixed_points(
     c_min: int,
     c_max: int,
-    params: PipelineParams | None = None,
+    params: PipelineParams = PipelineParams(),
     mode: str = "dirac",
-    tail_width: Fraction = DEFAULT_TAIL_WIDTH,
 ) -> Iterator[tuple[int, Fraction | None, Interval | None]]:
     """Yield (c, eps, delta) = (c, *solve_fixed_point(c, ...)) over
     c_min..c_max; (c, None, None) where no positive fixed point exists.
@@ -342,10 +346,9 @@ def sweep_fixed_points(
             f"{c_max - c_min + 1} cutoffs requested in {c_min}..{c_max}; "
             f"the cap is {MAX_SWEEP_ROWS}"
         )
-    params = params or PipelineParams()
     for c in range(c_min, c_max + 1):
         try:
-            eps, delta = solve_fixed_point(c, params, mode, tail_width)
+            eps, delta = solve_fixed_point(c, params, mode)
         except NoSolution:
             yield c, None, None
         else:
@@ -370,12 +373,11 @@ def best_cutoff(
 def optimize_c(
     c_min: int,
     c_max: int,
-    params: PipelineParams | None = None,
+    params: PipelineParams = PipelineParams(),
     mode: str = "dirac",
-    tail_width: Fraction = DEFAULT_TAIL_WIDTH,
 ) -> tuple[int, tuple[Fraction, Interval]]:
     """Exhaustive sweep maximizing delta.lo; ties go to the smaller c."""
-    return best_cutoff(sweep_fixed_points(c_min, c_max, params, mode, tail_width))
+    return best_cutoff(sweep_fixed_points(c_min, c_max, params, mode))
 
 
 def beck_constant_from(eps: Fraction, delta: Interval) -> Interval:
@@ -385,13 +387,12 @@ def beck_constant_from(eps: Fraction, delta: Interval) -> Interval:
 
 def beck_constant(
     c: int,
-    params: PipelineParams | None = None,
-    tail_width: Fraction = DEFAULT_TAIL_WIDTH,
+    params: PipelineParams = PipelineParams(),
 ) -> Interval:
     """Certified min(eps/2, delta/3) at the beck-mode fixed point.
 
     With eps = (2/3) * delta.lo the two arguments coincide at the lower
     endpoint, so the interval collapses to the certified constant eps/2.
     """
-    eps, delta = solve_fixed_point(c, params, "beck", tail_width)
+    eps, delta = solve_fixed_point(c, params, "beck")
     return beck_constant_from(eps, delta)

@@ -25,6 +25,7 @@ from pointline import (
     check_melchior,
     check_stt,
     compute_arrangement,
+    delta_of,
     h_of,
     tail_sum,
     x_of,
@@ -143,6 +144,7 @@ def test_acceptance_7_inequality_property_suite():
 def test_acceptance_8_proof_trace_conservation():
     eps = Fraction(1, 2) - Fraction(1, 1000)
     params = PipelineParams()
+    breakdown = delta_of(8, eps, params)
     failures = []
     audited = 0
     for name, ps in build_corpus():
@@ -150,7 +152,7 @@ def test_acceptance_8_proof_trace_conservation():
         if st.l_max > eps * st.n:
             continue
         audited += 1
-        tr = audit_proof_steps(st, c=8, eps=eps, params=params)
+        tr = audit_proof_steps(st, breakdown, params)
         tally = tr.small_pairs + tr.medium_pairs + tr.large_pairs
         want = math.comb(st.n, 2)
         if tally < want:

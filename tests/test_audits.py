@@ -19,6 +19,7 @@ from pointline import (
     check_stt,
     combine_reports,
     compute_arrangement,
+    delta_of,
     generate,
     tail_sum,
 )
@@ -177,7 +178,7 @@ def test_combine_reports():
 
 
 def test_proof_trace_5x5():
-    tr = audit_proof_steps(GRID5, c=8, eps=Fraction(1, 4), params=PipelineParams())
+    tr = audit_proof_steps(GRID5, delta_of(8, Fraction(1, 4)), PipelineParams())
     assert tr.name == "proof-trace"
     assert tr.c == 8
     assert tr.k == 3
@@ -199,7 +200,7 @@ def test_proof_trace_no_large_class():
     # parabola: every subgraph edge count is tiny, so k = 3 exceeds
     # floor(eps * n) = 2 and the large class is empty
     st = stats_of("parabola", 15)
-    tr = audit_proof_steps(st, c=8, eps=Fraction(1, 6), params=PipelineParams())
+    tr = audit_proof_steps(st, delta_of(8, Fraction(1, 6)), PipelineParams())
     assert tr.k == 3
     assert tr.k == int(Fraction(1, 6) * 15) + 1
     assert tr.large_pairs == 0
@@ -212,7 +213,7 @@ def test_proof_trace_overlapping_classes():
     # 10x10 grid at eps = 1/8: k = 5 < c = 8, so sizes 5..8 sit in both
     # ranges and the small class wins; the tally still covers every pair
     st = stats_of("grid", 10, 10)
-    tr = audit_proof_steps(st, c=8, eps=Fraction(1, 8), params=PipelineParams())
+    tr = audit_proof_steps(st, delta_of(8, Fraction(1, 8)), PipelineParams())
     assert tr.k == 5
     assert (tr.small_pairs, tr.medium_pairs, tr.large_pairs) == (3816, 0, 1134)
     assert tr.small_pairs + tr.medium_pairs + tr.large_pairs == math.comb(100, 2)
@@ -225,7 +226,7 @@ def test_proof_trace_pins_every_step_with_medium_levels():
     # the two medium levels; every step's lhs/rhs is pinned exactly
     st = stats_of("grid", 30, 30)
     c, n = 8, 900
-    tr = audit_proof_steps(st, c=c, eps=Fraction(2, 5), params=PipelineParams())
+    tr = audit_proof_steps(st, delta_of(c, Fraction(2, 5)), PipelineParams())
     assert tr.k == 11
     assert (tr.small_pairs, tr.medium_pairs, tr.large_pairs) == (321888, 22032, 60630)
     assert (tr.small_incidences, tr.medium_incidences) == (420068, 4988)
@@ -252,13 +253,13 @@ def test_proof_trace_pins_every_step_with_medium_levels():
 def test_proof_trace_domain_errors():
     st = stats_of("grid", 10, 10)
     with pytest.raises(PreconditionViolated):
-        audit_proof_steps(st, c=8, eps=Fraction(1, 12), params=PipelineParams())
+        audit_proof_steps(st, delta_of(8, Fraction(1, 12)), PipelineParams())
     with pytest.raises(BadEps):
-        audit_proof_steps(st, c=8, eps=Fraction(1, 2), params=PipelineParams())
+        audit_proof_steps(st, delta_of(8, Fraction(1, 2)), PipelineParams())
     with pytest.raises(BadEps):
-        audit_proof_steps(st, c=8, eps=0, params=PipelineParams())
+        audit_proof_steps(st, delta_of(8, 0), PipelineParams())
     with pytest.raises(BadCutoff):
-        audit_proof_steps(st, c=7, eps=Fraction(1, 8), params=PipelineParams())
+        audit_proof_steps(st, delta_of(7, Fraction(1, 8)), PipelineParams())
 
 
 def test_reports_recompute_from_raw_stats():

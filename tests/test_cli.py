@@ -215,6 +215,36 @@ def test_constants_missing_c_exit_2():
     assert proc.returncode == 2
 
 
+def test_constants_refuses_flags_its_mode_does_not_read():
+    cases = (
+        (("--c", "71", "--mode", "dirac", "--eps", "1/37"), "--eps needs --mode fixed-eps"),
+        (("--c", "67", "--mode", "beck", "--eps", "1/37"), "--eps needs --mode fixed-eps"),
+        (("--mode", "beck", "--optimize", "--eps", "1/37"), "--eps needs --mode fixed-eps"),
+        (("--mode", "dirac", "--optimize", "--c", "71"), "--c is not read under --optimize"),
+        (("--mode", "dirac", "--optimize", "--c", "71", "--c-min", "60", "--c-max", "80"),
+         "--c is not read under --optimize"),
+        (("--c", "71", "--mode", "dirac", "--c-min", "60"), "--c-min and --c-max need --optimize"),
+        (("--c", "71", "--mode", "fixed-eps", "--eps", "1/37", "--c-max", "80"),
+         "--c-min and --c-max need --optimize"),
+        # a refusal that existed before keeps its place
+        (("--mode", "fixed-eps", "--optimize", "--c", "71"),
+         "--optimize needs --mode dirac or beck"),
+        (("--mode", "dirac", "--eps", "1/37"), "--c is required unless --optimize is given"),
+    )
+    for flags, message in cases:
+        for form in ((), ("--json",)):
+            proc = run_cli("constants", *flags, *form)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n"), flags
+    # without --c-min and --c-max, --optimize sweeps 8..200
+    default = run_cli("constants", "--mode", "beck", "--optimize", "--json")
+    explicit = run_cli("constants", "--mode", "beck", "--optimize",
+                       "--c-min", "8", "--c-max", "200", "--json")
+    assert default.returncode == 0
+    assert default.stdout == explicit.stdout
+    payload = json.loads(default.stdout)["payload"]
+    assert (payload["c_min"], payload["c_max"]) == (8, 200)
+
+
 def test_constants_optimize():
     proc = run_cli("constants", "--mode", "dirac", "--optimize",
                    "--c-min", "60", "--c-max", "80", "--json")
@@ -440,6 +470,8 @@ def test_default_verify_validates_the_pipeline_flags(tmp_path):
         (("--eps", "0"), "eps must lie in (0, 1/2), got 0"),
         # eps is checked before the cutoff, as proof-trace's delta_of does
         (("--c", "7", "--eps", "3/5"), "eps must lie in (0, 1/2), got 3/5"),
+        # the width is a PipelineParams field, so it is refused before eps
+        (("--eps", "1/2", "--tail-width", "0"), "width bound must be positive, got 0"),
     )
     for flags, message in cases:
         for check in ("melchior,hirzebruch,kelly-moser,stt,main,beck", "melchior"):
@@ -447,6 +479,22 @@ def test_default_verify_validates_the_pipeline_flags(tmp_path):
             assert proc.returncode == 5, flags
             assert proc.stdout == ""
             assert proc.stderr == message + "\n"
+
+
+def test_verify_params_record_the_tail_width(tmp_path):
+    # the width changes step 3's rhs, so the document names the width used
+    path = write_grid(tmp_path, side=5)
+    docs = {}
+    for width in ("1/1000000000", "1/100"):
+        proc = run_cli("verify", path, "--check", "proof-trace", "--eps", "1/4",
+                       "--tail-width", width, "--json")
+        assert proc.returncode == 0
+        docs[width] = json.loads(proc.stdout)["payload"]
+        assert docs[width]["params"]["tail_width"] == width
+    wide, narrow = docs["1/100"], docs["1/1000000000"]
+    assert wide["params"] != narrow["params"]
+    steps = [{r["name"]: r for r in doc["checks"][0]["step_reports"]} for doc in (wide, narrow)]
+    assert steps[0]["medium-pairs"]["rhs"] != steps[1]["medium-pairs"]["rhs"]
 
 
 def test_verify_bad_alpha_or_beta_exit_5(tmp_path):
@@ -556,7 +604,7 @@ CONSTANTS_SHA256 = {
     ("constants", "--c", "71", "--mode", "dirac", "--tail-width", "1/1" + "0" * 100, "--json"):
         "c6bbbea9243f1c56e7e8c6b8a27518389e65aa9fd46e7043d7354c8cffde7463",
     ("verify", "CORPUS", "--check", "proof-trace", "--json"):
-        "11cfae2be5b230e7f1d628f82a06d4844c1c33a62ebf604a61d309e18d56581c",
+        "82045cc141ff9bafc7ac563cb7bb72108ab5cd24bb0d30a86c11b1a699999f46",
 }
 
 
@@ -603,31 +651,31 @@ REPORT_SHA256 = {
     ("analyze", "grid5"):
         (0, "8b119bfd26f8bd40358cca04d60fcd2eed2f5af658ae73a6d4b24c4d02377728"),
     ("verify", "grid5"):
-        (0, "bdae45cc0dbd6f2a73bf33311428a10c5176e3ee52018fbef3d70d6236776433"),
+        (0, "fcb97e96a49d0acb1ae8549d420a6fe01217749d681ad0b60113a2c1aa551dab"),
     ("analyze", "kelly-moser7"):
         (0, "857abae280f4dd03dbf1f5f7abd4b5ea2777b9a66926f15694e6deebcfe2b25e"),
     ("verify", "kelly-moser7"):
-        (0, "c595276b4bce2238248874a808f18a86cc689fbf702d670e960efca9d4310cd2"),
+        (0, "304f4fbe1cf7a895c3f12fa28c4205390a244f66cba5faa9d2b7b692e6117621"),
     ("analyze", "near-pencil"):
         (0, "8012576e489325419cfbe2f0d52ed00b1fe9f9c7b51e4cd84baf8bfbf52fa813"),
     ("verify", "near-pencil"):
-        (0, "b53e89668ce3eecc203f9e22f6a3b8dc6a4292750b5c236be414baf4b486401c"),
+        (0, "49fd4a51bf1d71b28c531e8913653d6e20a68d3ebdfa82e555eff4e36174a88b"),
     ("analyze", "collinear"):
         (0, "e29584c1de0de03777462de1beb6a514e4b60dfda11b140e2b8de566b8924e2c"),
     ("verify", "collinear"):
-        (0, "b8950c480648cc3305194fe2e63a419dd7a941b1ff1efb3b3f403bb5f3b2a7b2"),
+        (0, "da2311979a942de85e6540f870d882c36a08cf758a2c41cf7e5a8f4eea2bd938"),
     ("analyze", "unit-circle"):
         (0, "f3a252b854ee7ef77535c9d3ef8745156ab1d8acddf6130c91b56220a5cac789"),
     ("verify", "unit-circle"):
-        (0, "fdd542f832e4b88ec5833ab143561a1bd8b16a2fa0ce6bfd85ec9c9cfea178fe"),
+        (0, "aca1b138a0571a625bef2809017bef819218c1d51df5091594bea4c26dbf0793"),
     ("analyze", "empty"):
         (0, "db03007c786cf362962838cff202bc778230f7c8985358d9d85cf655dabb4281"),
     ("verify", "empty"):
-        (0, "ed700dfc9e426d942dd7d00abd9860c5bf8ffc5c0c0d358f6ed954fe6b044625"),
+        (0, "b0618830ad6fc5b7d2617edb218a0ba0fecbff96bba1ebfbf1befb88a49b2fd3"),
     ("verify", "grid5", "--check", "proof-trace", "--c", "8", "--eps", "1/4"):
-        (0, "a47a096e6e22ab4a89c3d99ce96a2f55bcecaa784f019ce40ad1fbf7d9cdd23a"),
+        (0, "8f9a1e3626b3fdb71a13c8cf97836bb579faa7f07c0bbd7dc0bd9889754722c8"),
     ("verify", "collinear", "--check", "proof-trace"):
-        (0, "545c2bfa23cec49f45e845b191061c5bf8df28b5cf8f35d3f03e99a32318b982"),
+        (0, "ee0c7f51dc496af5582a385c8866da0e2765d7ef5ec32fe8cb29240dce6e71b1"),
 }
 
 

@@ -94,8 +94,8 @@ def test_tail_width_floor():
     assert MIN_TAIL_WIDTH == Fraction(1, 10**100)
     narrow = Fraction(1, 10**101)
     for call in (lambda: tail_sum(71, narrow),
-                 lambda: delta_of(71, Fraction(1, 37), tail_width=narrow),
-                 lambda: solve_fixed_point(71, tail_width=narrow)):
+                 lambda: delta_of(71, Fraction(1, 37), PipelineParams(tail_width=narrow)),
+                 lambda: solve_fixed_point(71, PipelineParams(tail_width=narrow))):
         with pytest.raises(ValueError, match="at least 1/10\\^100"):
             call()
 
@@ -265,9 +265,44 @@ def test_params_validation_and_edge_values():
         PipelineParams(alpha=Fraction(-1, 2))
     with pytest.raises(ValueError):
         PipelineParams(beta=0)
+    with pytest.raises(ValueError, match="width bound must be positive, got 0"):
+        PipelineParams(tail_width=0)
+    with pytest.raises(ValueError, match="at least 1/10\\^100"):
+        PipelineParams(tail_width=Fraction(1, 10**101))
+    # a bad width is refused after a bad alpha or beta
+    with pytest.raises(ValueError, match="beta must be > 0"):
+        PipelineParams(beta=0, tail_width=0)
     # alpha = 0 degenerates gracefully: the fixed point still solves
     eps, delta = solve_fixed_point(71, PipelineParams(alpha=0), mode="dirac")
     assert eps == delta.lo > 0
+
+
+def test_params_carry_the_tail_width():
+    assert PipelineParams().tail_width == DEFAULT_TAIL_WIDTH
+    # the width is part of the record's equality and hash
+    narrow = PipelineParams(tail_width=Fraction(1, 10**13))
+    assert narrow == PipelineParams(tail_width="1/10000000000000")
+    assert hash(narrow) == hash(PipelineParams(tail_width="1/10000000000000"))
+    assert narrow != PipelineParams()
+    assert len({narrow, PipelineParams()}) == 2
+
+
+def test_tail_width_from_params_reproduces_the_old_argument():
+    # the values solve_fixed_point(71, tail_width=1/10^13) and
+    # delta_of(71, 1/37, tail_width=1/10^13) gave when the width was a
+    # separate argument
+    params = PipelineParams(tail_width=Fraction(1, 10**13))
+    eps, delta = solve_fixed_point(71, params)
+    assert eps == delta.lo == Fraction(
+        37920547575961378645627, 1371120103928359386237440)
+    assert delta.hi == Fraction(
+        3176831793724056053297238447, 114866957826702235941427773440)
+    bd = delta_of(71, Fraction(1, 37), params)
+    assert bd.tail == Interval(Fraction(27448213457, 1921504258815),
+                               Fraction(1291420144343127, 90405494374406540))
+    assert bd.delta == Interval(
+        Fraction(1001387925561127757415879, 35869567459619896949309440),
+        Fraction(7094595216093931963, 254127351854931681280))
 
 
 def test_larger_alpha_shrinks_the_constant():
@@ -337,9 +372,9 @@ def oracle_fixed_point(c, lam, tail_lo, tail_hi, params):
     return eps, oracle_delta(c, eps, tail_lo, tail_hi, params)
 
 
-def _solved(c, params, mode, width):
+def _solved(c, params, mode):
     try:
-        eps, delta = solve_fixed_point(c, params, mode, width)
+        eps, delta = solve_fixed_point(c, params, mode)
     except NoSolution:
         return None
     return eps, (delta.lo, delta.hi)
@@ -352,21 +387,21 @@ def test_bernoulli_numbers():
 
 
 def test_integer_evaluation_matches_fraction_oracle():
-    params = PipelineParams()
     lams = {"dirac": Fraction(1), "beck": Fraction(2, 3)}
     unsolved = 0
     for width in ORACLE_WIDTHS:
+        params = PipelineParams(tail_width=width)
         for c in ORACLE_CUTOFFS:
             lo, hi, _n = oracle_tail(c, width)
             tail = tail_sum(c, width)
             assert (tail.lo, tail.hi) == (lo, hi), (c, width)
             for mode, lam in lams.items():
                 want = oracle_fixed_point(c, lam, lo, hi, params)
-                assert _solved(c, params, mode, width) == want, (c, width, mode)
+                assert _solved(c, params, mode) == want, (c, width, mode)
                 unsolved += want is None
             if c % 50 == 0 or c > 700:
                 for eps in (Fraction(1, 37), Fraction(1, 45)):
-                    bd = delta_of(c, eps, params, width)
+                    bd = delta_of(c, eps, params)
                     assert (bd.delta.lo, bd.delta.hi) == oracle_delta(c, eps, lo, hi, params)
     assert unsolved > 0  # the grid reaches the NoSolution rows of both modes
 
@@ -387,7 +422,7 @@ def test_integer_evaluation_matches_oracle_off_the_default_grid():
         for c in (8, 28, 67, 71, 300):
             lo, hi, _n = oracle_tail(c, DEFAULT_TAIL_WIDTH)
             for mode, lam in (("dirac", Fraction(1)), ("beck", Fraction(2, 3))):
-                assert _solved(c, params, mode, DEFAULT_TAIL_WIDTH) == oracle_fixed_point(
+                assert _solved(c, params, mode) == oracle_fixed_point(
                     c, lam, lo, hi, params), (c, params, mode)
             bd = delta_of(c, Fraction(1, 37), params)
             assert (bd.delta.lo, bd.delta.hi) == oracle_delta(c, Fraction(1, 37), lo, hi, params)
