@@ -6,9 +6,31 @@ built positionally or by keyword, then runs __post_init__, which may
 validate and normalise fields with object.__setattr__. Records compare
 equal field by field, and only to records of the same class (never to a
 tuple); they hash by their fields and refuse assignment with
-AttributeError. Unlike dataclasses, defining a record generates no code,
-and importing this module pulls in nothing.
+AttributeError. Unlike dataclasses, defining a record generates no code.
+
+Before __post_init__ runs, every field annotated Fraction passes through
+rational: a Fraction is kept, an int or a str is converted by Fraction(),
+and anything else (a float, a Decimal, a bool) raises TypeError naming
+the field. This module imports only fractions, which every importer of a
+record loads anyway.
 """
+
+from fractions import Fraction
+
+
+def rational(value, what: str) -> Fraction:
+    """value as an exact Fraction, or TypeError naming what.
+
+    The one rule for which Python values count as exact rationals: a
+    Fraction is returned unchanged, and an int (not a bool) or a str is
+    converted by Fraction(), so text parses as Fraction() parses it.
+    Everything else is refused, binary floats and Decimals included.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if type(value) in (int, str):
+        return Fraction(value)
+    raise TypeError(f"{what} must be an int, a Fraction or a str, not {type(value).__name__}")
 
 
 class Record:
@@ -18,6 +40,10 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        cls._rationals = tuple(
+            (name, f"{cls.__name__}.{name}")
+            for name, kind in cls.__annotations__.items() if kind in ("Fraction", Fraction)
+        )
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -41,6 +67,8 @@ class Record:
             raise TypeError(
                 f"{type(self).__name__}() got unexpected or repeated arguments {sorted(kwargs)}"
             )
+        for name, what in self._rationals:
+            state[name] = rational(state[name], what)
         self.__post_init__()
 
     def __post_init__(self) -> None:

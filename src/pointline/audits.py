@@ -56,12 +56,10 @@ class CheckReport(Record):
 
 
 def _ge(name, lhs, rhs, preconditions_met=True, note="") -> CheckReport:
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
     return CheckReport(name, preconditions_met, lhs >= rhs, lhs, rhs, lhs - rhs, note)
 
 
 def _le(name, lhs, rhs, preconditions_met=True, note="") -> CheckReport:
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
     return CheckReport(name, preconditions_met, lhs <= rhs, lhs, rhs, rhs - lhs, note)
 
 
@@ -69,8 +67,7 @@ def combine_reports(name, parts, preconditions_met=True, note="") -> CheckReport
     """One report over parts: the compound rule of the module docstring."""
     parts = tuple(parts)
     if not parts:
-        z = Fraction(0)
-        return CheckReport(name, preconditions_met, True, z, z, z, note or "vacuous", parts)
+        return CheckReport(name, preconditions_met, True, 0, 0, 0, note or "vacuous", parts)
     binding = [p for p in parts if p.preconditions_met]
     pool = binding if binding else list(parts)
     holds = all(p.holds for p in pool)
@@ -83,15 +80,15 @@ def combine_reports(name, parts, preconditions_met=True, note="") -> CheckReport
 
 def check_melchior(stats: ArrangementStats) -> CheckReport:
     """s_2 >= 3 + sum_{i>=4} (i-3) s_i; hypothesis: not all collinear."""
-    lhs = Fraction(stats.s.get(2, 0))
-    rhs = Fraction(3 + sum((i - 3) * si for i, si in stats.s.items() if i >= 4))
+    lhs = stats.s.get(2, 0)
+    rhs = 3 + sum((i - 3) * si for i, si in stats.s.items() if i >= 4)
     return _ge("melchior", lhs, rhs, preconditions_met=is_noncollinear(stats))
 
 
 def check_hirzebruch(stats: ArrangementStats) -> CheckReport:
     """s_2 + (3/4) s_3 >= n + sum_{i>=5} (2i-9) s_i; hypothesis: l_max <= n-3."""
     lhs = stats.s.get(2, 0) + Fraction(3, 4) * stats.s.get(3, 0)
-    rhs = Fraction(stats.n + sum((2 * i - 9) * si for i, si in stats.s.items() if i >= 5))
+    rhs = stats.n + sum((2 * i - 9) * si for i, si in stats.s.items() if i >= 5)
     return _ge("hirzebruch", lhs, rhs, preconditions_met=stats.l_max <= stats.n - 3)
 
 
@@ -116,8 +113,8 @@ def check_stt(
     if i < 2:
         raise ValueError(f"level must be >= 2, got {i}")
     n = stats.n
-    edge_lhs = Fraction(subgraph_edge_count(stats, i))
-    line_lhs = Fraction(sum(sj for j, sj in stats.s.items() if j >= i))
+    edge_lhs = subgraph_edge_count(stats, i)
+    line_lhs = sum(sj for j, sj in stats.s.items() if j >= i)
     d = i - 1
     edge_rhs = max(params.alpha * n, params.beta * n * n / (2 * d * d))
     line_rhs = max(params.alpha * n / d, params.beta * n * n / (2 * d**3))
@@ -143,13 +140,13 @@ def check_main(stats: ArrangementStats) -> CheckReport:
     parts = (
         _ge(
             "main-degree",
-            Fraction(stats.dirac_degree),
+            stats.dirac_degree,
             threshold,
             note=f"witness index {stats.dirac_witness}",
         ),
         _ge(
             "main-incidences",
-            Fraction(stats.incidences),
+            stats.incidences,
             Fraction(n * n, 37),
             preconditions_met=applicable,
             note="" if applicable else f"not applicable: l_max {stats.l_max} > n/37",
@@ -169,7 +166,7 @@ def check_beck(stats: ArrangementStats) -> CheckReport:
     n = stats.n
     l = stats.l_max if n >= 2 else n
     few = stats.s.get(2, 0) + stats.s.get(3, 0)
-    twice_few, lines = Fraction(2 * few), Fraction(stats.lines)
+    twice_few, lines = 2 * few, stats.lines
     parts = (
         _ge("beck-lines", lines, Fraction(n * (n - l), 98)),
         _ge("beck-edges", stats.edges, l * (n - l)),
@@ -259,7 +256,7 @@ def audit_proof_steps(
 
     step1 = _le(
         "small-pairs",
-        Fraction(small_p),
+        small_p,
         x * small_i - h * n,
         preconditions_met=stats.l_max <= n - 3,
         note="needs at most n-3 collinear points",
@@ -270,14 +267,14 @@ def audit_proof_steps(
             _le(
                 "medium-lines",
                 sum(j * sj for j, sj in stats.s.items() if j >= i),
-                params.beta * n * n * i / Fraction(2 * (i - 1) ** 3),
+                params.beta * n * n * i / (2 * (i - 1) ** 3),
                 note=f"tightest of {len(mediums)} medium levels, at i={i}",
             )
             for i in mediums
         )
         step2 = min(levels, key=lambda r: r.slack)  # the first level wins a tie
     else:
-        step2 = _le("medium-lines", Fraction(0), Fraction(0), note="no medium levels")
+        step2 = _le("medium-lines", 0, 0, note="no medium levels")
 
     step3 = _le(
         "medium-pairs",
@@ -286,7 +283,7 @@ def audit_proof_steps(
         note="tail replaced by its certified upper bound",
     )
 
-    step4 = _le("large-pairs", Fraction(large_p), eps * params.alpha * n * n / 2)
+    step4 = _le("large-pairs", large_p, eps * params.alpha * n * n / 2)
 
     return ProofTrace(
         c=c,
@@ -318,5 +315,4 @@ def run_check(name, stats, params, breakdown):
             return audit_proof_steps(stats, breakdown, params)
         return globals()["check_" + name.replace("-", "_")](stats)
     except (CollinearInput, PreconditionViolated) as exc:
-        zero = Fraction(0)
-        return CheckReport(name, False, False, zero, zero, zero, f"skipped: {exc}")
+        return CheckReport(name, False, False, 0, 0, 0, f"skipped: {exc}")

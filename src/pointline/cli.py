@@ -70,10 +70,9 @@ class _CliFailure(Exception):
 
 def _dec(value) -> str:
     """Decimal preview with 12 significant digits, computed without floats."""
-    f = Fraction(value)
     with decimal.localcontext() as ctx:
         ctx.prec = 12
-        d = decimal.Decimal(f.numerator) / decimal.Decimal(f.denominator)
+        d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
     return str(d)
 
 

@@ -42,7 +42,7 @@ from functools import cache
 from itertools import count
 from math import comb, lcm
 
-from ._record import Record
+from ._record import Record, rational
 from .errors import BadCutoff, BadEps, ClaimViolated, NoSolution
 
 # Default two-sided width for tail enclosures. Tight enough that the
@@ -72,7 +72,8 @@ class PipelineParams(Record):
     Pach-Radoicic-Tardos-Toth (2006). alpha may be zero (the self-term then
     drops out of the fixed point); beta must be positive. tail_width bounds
     the width of every tail enclosure of T(c); checked_tail_width refuses
-    it, after alpha and beta, unless it is at least MIN_TAIL_WIDTH.
+    it, after alpha and beta, unless it is at least MIN_TAIL_WIDTH. Each
+    field has passed _record.rational before these range checks run.
     """
 
     alpha: Fraction = Fraction(103, 16)
@@ -80,13 +81,11 @@ class PipelineParams(Record):
     tail_width: Fraction = DEFAULT_TAIL_WIDTH
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        object.__setattr__(self, "tail_width", checked_tail_width(self.tail_width))
+        checked_tail_width(self.tail_width)
 
 
 class Interval(Record):
@@ -96,10 +95,6 @@ class Interval(Record):
     hi: Fraction
 
     def __post_init__(self) -> None:
-        # The pipeline passes Fractions, which need no conversion.
-        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
-            object.__setattr__(self, "lo", Fraction(self.lo))
-            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -166,16 +161,17 @@ def _head(c: int, n: int) -> tuple[int, int]:
 
 
 def checked_eps(eps) -> Fraction:
-    """eps as a Fraction; BadEps unless 0 < eps < 1/2."""
-    eps = Fraction(eps)
+    """eps as a Fraction (see _record.rational); BadEps unless 0 < eps < 1/2."""
+    eps = rational(eps, "eps")
     if not 0 < eps < Fraction(1, 2):
         raise BadEps(f"eps must lie in (0, 1/2), got {eps}")
     return eps
 
 
 def checked_tail_width(width_bound) -> Fraction:
-    """width_bound as a Fraction; ValueError unless it is at least MIN_TAIL_WIDTH."""
-    width_bound = Fraction(width_bound)
+    """width_bound as a Fraction (see _record.rational); ValueError unless
+    it is at least MIN_TAIL_WIDTH."""
+    width_bound = rational(width_bound, "width_bound")
     if width_bound <= 0:
         raise ValueError(f"width bound must be positive, got {width_bound}")
     if width_bound < MIN_TAIL_WIDTH:

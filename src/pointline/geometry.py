@@ -29,15 +29,14 @@ from .errors import CollinearInput, DuplicatePoints
 
 
 class Point(Record):
-    """A planar point with exact rational coordinates."""
+    """A planar point with exact rational coordinates.
+
+    Each coordinate is given as an int, a Fraction or a str such as "1/3"
+    and stored as a Fraction; a float, a Decimal or a bool raises TypeError.
+    """
 
     x: Fraction
     y: Fraction
-
-    def __post_init__(self) -> None:
-        # Accept int / str / Fraction inputs; normalise to Fraction.
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
 
 
 class PointSet(Record):

@@ -3,8 +3,10 @@
 Each coordinate is an integer or "p/q" with q > 0, in ASCII digits with an
 optional sign on the numerator only. p and q have at most 4300 digits
 each, CPython's default int-string conversion limit; longer ones raise
-ValueError. Blank lines and lines starting with '#' are ignored. The
-format round-trips exactly.
+ValueError. Lines end at "\n" only, so a "\r" before it is stripped as
+whitespace and any other line or paragraph separator stays inside its
+line. Blank lines and lines starting with '#' are ignored. The format
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def parse_points(text: str) -> PointSet:
     from .geometry import PointSet
 
     coords = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -65,6 +65,21 @@ def test_analyze_parse_error_exit_2(tmp_path):
     assert "line 2" in proc.stderr
 
 
+def test_analyze_reads_lines_ending_only_at_newline(tmp_path):
+    crlf, lf = tmp_path / "crlf.txt", tmp_path / "lf.txt"
+    crlf.write_bytes(b"0 0\r\n1 0\r\n0 1\r\n")
+    lf.write_bytes(b"0 0\n1 0\n0 1\n")
+    crlf_doc = json.loads(run_cli("analyze", str(crlf), "--json").stdout)
+    lf_doc = json.loads(run_cli("analyze", str(lf), "--json").stdout)
+    assert crlf_doc["payload"] == lf_doc["payload"]
+    for data in (b"0 0\n1 0\f0 1\n", b"0 0\r1 0\r0 1\r"):
+        path = tmp_path / "sep.txt"
+        path.write_bytes(data)
+        proc = run_cli("analyze", str(path))
+        assert proc.returncode == 2, data
+        assert "fields" in proc.stderr and proc.stdout == ""
+
+
 def test_analyze_missing_file_exit_2(tmp_path):
     proc = run_cli("analyze", str(tmp_path / "absent.txt"))
     assert proc.returncode == 2

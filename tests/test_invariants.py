@@ -8,7 +8,11 @@ keep its runtime dependency list empty.
 
 A float made at run time by true division of two ints (1 / 2) cannot be
 caught statically: whether / divides ints or Fractions is known only when
-the code runs. The oracle, golden and byte-identity tests guard that.
+the code runs. Such a float, or one a caller passes in, is refused when a
+record is built: every field annotated Fraction and the eps and tail-width
+arguments go through _record.rational, which raises TypeError on anything
+but an int, a Fraction or a str (test_records pins this). The oracle,
+golden and byte-identity tests guard the values themselves.
 """
 
 import ast

@@ -71,3 +71,40 @@ def test_duplicates_rejected():
     with pytest.raises(DuplicatePoints) as exc:
         parse_points("1 2\n# note\n1 2\n")
     assert exc.value.pairs == ((0, 1),)
+
+
+def test_a_form_feed_does_not_end_a_line():
+    # two lines as `wc -l` counts them; the second holds four fields
+    with pytest.raises(PointFormatError) as exc:
+        parse_points("0 0\n1 0\f0 1\n")
+    assert exc.value.line_no == 2
+    assert "expected 2 fields, got 4" in str(exc.value)
+
+
+def test_a_line_separator_is_reported_at_its_own_line():
+    with pytest.raises(PointFormatError) as exc:
+        parse_points("0 0\n1 0\u2028x 1\n")
+    assert exc.value.line_no == 2
+    assert "line 2" in str(exc.value)
+
+
+def test_every_other_separator_stays_inside_its_line():
+    for sep in ("\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"):
+        with pytest.raises(PointFormatError) as exc:
+            parse_points(f"0 0{sep}1 0\n0 1\n")
+        assert exc.value.line_no == 1, repr(sep)
+
+
+def test_crlf_files_parse_as_lf_files():
+    text = "# grid\n0 0\n1 0\n\n0 1\n2 3\n"
+    assert parse_points(text.replace("\n", "\r\n")) == parse_points(text)
+    with pytest.raises(PointFormatError) as exc:
+        parse_points("0 0\r\n1\r\n")
+    assert exc.value.line_no == 2
+
+
+def test_a_last_line_needs_no_newline():
+    assert parse_points("0 0\n1 2") == parse_points("0 0\n1 2\n")
+    with pytest.raises(PointFormatError) as exc:
+        parse_points("0 0\n1 2\n3")
+    assert exc.value.line_no == 3

@@ -5,6 +5,7 @@ import ast
 import copy
 import importlib
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,12 +15,18 @@ import pointline
 from pointline import (
     RNG_ALGORITHM,
     CheckReport,
+    DeltaBreakdown,
     Interval,
     PipelineParams,
     Point,
     PointSet,
+    ProofTrace,
     SearchResult,
+    delta_of,
+    tail_sum,
 )
+from pointline._record import Record
+from pointline.constants import checked_eps
 
 
 def _report(**overrides):
@@ -70,6 +77,83 @@ def test_validation_still_runs_at_construction():
     with pytest.raises(ValueError):
         PipelineParams(alpha=-1)
     assert isinstance(Interval(1, 2).lo, Fraction)
+
+
+# One valid set of keyword arguments per record class with Fraction
+# fields. Every Fraction field holds an integer, so it can be given as an
+# int, a Fraction or a "p/q" string.
+VALID = {
+    Point: dict(x=1, y=2),
+    Interval: dict(lo=1, hi=2),
+    PipelineParams: dict(alpha=1, beta=2, tail_width=1),
+    CheckReport: dict(name="melchior", preconditions_met=True, holds=True,
+                      lhs=4, rhs=3, slack=1),
+    DeltaBreakdown: dict(c=8, h=1, x=2, y=3, tail=Interval(0, 1), mid_term=4,
+                         eps=5, delta=Interval(0, 1)),
+    ProofTrace: dict(c=8, k=3, eps=1, small_pairs=0, medium_pairs=0, large_pairs=0,
+                     small_incidences=0, medium_incidences=0, step_reports=()),
+    SearchResult: dict(best_set=PointSet.from_coords([(0, 0)]), degree=1, ratio=2,
+                       iterations_run=10, seed=7),
+}
+
+
+def _fraction_fields(cls):
+    return [name for name, kind in cls.__annotations__.items()
+            if kind in ("Fraction", Fraction)]
+
+
+def test_every_record_with_fraction_fields_is_in_the_table():
+    for name in ("audits", "constants", "generators", "geometry", "pointfile", "cli"):
+        importlib.import_module(f"pointline.{name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("pointline.") and _fraction_fields(sub):
+                found.add(sub)
+    assert found == set(VALID)
+
+
+@pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
+def test_fraction_fields_take_exact_values_and_refuse_the_rest(cls):
+    for field in _fraction_fields(cls):
+        value = VALID[cls][field]
+        built = [cls(**(VALID[cls] | {field: form}))
+                 for form in (value, Fraction(value), f"{3 * value}/3")]
+        assert built[0] == built[1] == built[2], field
+        assert len({hash(record) for record in built}) == 1, field
+        assert type(getattr(built[2], field)) is Fraction
+        for bad in (value + 0.5, Decimal(value), True):
+            with pytest.raises(TypeError, match=rf"^{cls.__name__}\.{field} "):
+                cls(**(VALID[cls] | {field: bad}))
+
+
+def test_floats_are_refused_where_they_enter():
+    # points on y = x + 1/10: as floats they would not be collinear
+    with pytest.raises(TypeError, match="float"):
+        PointSet.from_coords([(0, 0.1), (0.1, 0.2), (0.2, 0.3)])
+    cases = (
+        (lambda: PipelineParams(alpha=0.1), "alpha"),
+        (lambda: PipelineParams(alpha=-1, tail_width=1e-9), "tail_width"),
+        (lambda: delta_of(71, 0.027), "eps"),
+        (lambda: tail_sum(71, 1e-9), "width_bound"),
+        (lambda: Interval(0.5, 1), "lo"),
+        (lambda: Point(Decimal("0.5"), 0), "x"),
+        (lambda: Point(True, 0), "x"),
+        (lambda: Point(0, None), "y"),
+    )
+    for build, field in cases:
+        with pytest.raises(TypeError, match=rf"\b{field}\b"):
+            build()
+    assert checked_eps("1/4") == Fraction(1, 4)
+    assert PipelineParams(tail_width="1/10000000000000").tail_width == Fraction(1, 10**13)
+
+
+def test_numpy_scalars_are_refused():
+    np = pytest.importorskip("numpy")
+    for bad in (np.int64(1), np.float64(1), np.bool_(True)):
+        with pytest.raises(TypeError, match="Point.x"):
+            Point(bad, 0)
 
 
 def test_construction_rejects_bad_arguments():
