@@ -9,27 +9,56 @@ tuple); they hash by their fields and refuse assignment with
 AttributeError. Unlike dataclasses, defining a record generates no code.
 
 Before __post_init__ runs, every field annotated Fraction passes through
-rational: a Fraction is kept, an int or a str is converted by Fraction(),
-and anything else (a float, a Decimal, a bool) raises TypeError naming
-the field. This module imports only fractions, which every importer of a
-record loads anyway.
+rational: a Fraction is kept, an int is converted exactly, a str is parsed
+by parse_rational, and anything else (a float, a Decimal, a bool) raises
+TypeError naming the field.
+
+parse_rational is pointline's one text grammar for exact numbers: point
+files, rational and integer flags, and strings given to records and to
+checked_eps and checked_tail_width all go through it, so Fraction() and
+int() never see user text.
 """
 
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(token: str) -> Fraction:
+    """Parse an integer or "p/q" token of ASCII digits; q must be positive.
+
+    Surrounding whitespace is stripped, and the sign goes on p only. Each
+    run of digits may have at most 4300 digits (CPython's int-string
+    limit). Anything else raises ValueError, in time linear in the token.
+    """
+    match = _RATIONAL.fullmatch(token.strip())
+    if match is None:
+        raise ValueError(f"not an integer or p/q: {token!r}")
+    num, den = match.groups(default="1")
+    if int(den) == 0:
+        raise ValueError(f"denominator must be positive in {token!r}")
+    return Fraction(int(num), int(den))
 
 
 def rational(value, what: str) -> Fraction:
-    """value as an exact Fraction, or TypeError naming what.
+    """value as an exact Fraction, or TypeError or ValueError naming what.
 
     The one rule for which Python values count as exact rationals: a
-    Fraction is returned unchanged, and an int (not a bool) or a str is
-    converted by Fraction(), so text parses as Fraction() parses it.
-    Everything else is refused, binary floats and Decimals included.
+    Fraction is returned unchanged, an int (not a bool) is converted, and
+    a str must be a parse_rational token; a bad one raises ValueError
+    ("Point.x: not an integer or p/q: '1e3'"). Everything else raises
+    TypeError, binary floats and Decimals included.
     """
     if isinstance(value, Fraction):
         return value
-    if type(value) in (int, str):
+    if type(value) is int:
         return Fraction(value)
+    if type(value) is str:
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None
     raise TypeError(f"{what} must be an int, a Fraction or a str, not {type(value).__name__}")
 
 

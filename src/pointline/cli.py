@@ -41,7 +41,7 @@ import os
 import sys
 from fractions import Fraction
 
-from ._record import Record
+from ._record import Record, parse_rational
 from .errors import (
     BadCutoff,
     BadEps,
@@ -195,12 +195,17 @@ def _read_point_file(path: str) -> tuple:
 
 
 def _rational_flag(text: str) -> Fraction:
-    from .pointfile import parse_rational
-
     try:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag: a rational flag's token without a "/q" part."""
+    if "/" in text:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return _rational_flag(text).numerator
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +494,7 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--check", default=",".join(n for n in CHECK_NAMES if n != "proof-trace"),
                    help=f"comma-separated subset of {','.join(CHECK_NAMES)}")
-    p.add_argument("--c", type=int, default=8, help="cutoff for proof-trace")
+    p.add_argument("--c", type=_int_flag, default=8, help="cutoff for proof-trace")
     p.add_argument("--eps", type=_rational_flag, default=Fraction(499, 1000),
                    help="collinearity fraction for proof-trace, as p/q")
     _add_pipeline_flags(p)
@@ -500,13 +505,13 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
 def _constants_arguments(p: argparse.ArgumentParser) -> None:
     from .constants import MODES
 
-    p.add_argument("--c", type=int)
+    p.add_argument("--c", type=_int_flag)
     p.add_argument("--mode", choices=(*MODES, "fixed-eps"), required=True)
     p.add_argument("--eps", type=_rational_flag, help="eps for --mode fixed-eps")
     _add_pipeline_flags(p)
     p.add_argument("--optimize", action="store_true", help="sweep c-min..c-max")
-    p.add_argument("--c-min", type=int)
-    p.add_argument("--c-max", type=int)
+    p.add_argument("--c-min", type=_int_flag)
+    p.add_argument("--c-max", type=_int_flag)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_constants)
 
@@ -515,18 +520,18 @@ def _generate_arguments(p: argparse.ArgumentParser) -> None:
     from .generators import KINDS
 
     p.add_argument("kind", choices=KINDS)
-    p.add_argument("sizes", type=int, nargs="+")
-    p.add_argument("--extent", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("sizes", type=_int_flag, nargs="+")
+    p.add_argument("--extent", type=_int_flag)
+    p.add_argument("--seed", type=_int_flag)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_generate)
 
 
 def _search_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--extent", type=int, required=True)
-    p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
+    p.add_argument("--extent", type=_int_flag, required=True)
+    p.add_argument("--iters", type=_int_flag, required=True)
+    p.add_argument("--seed", type=_int_flag, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 

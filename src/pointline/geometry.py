@@ -32,7 +32,10 @@ class Point(Record):
     """A planar point with exact rational coordinates.
 
     Each coordinate is given as an int, a Fraction or a str such as "1/3"
-    and stored as a Fraction; a float, a Decimal or a bool raises TypeError.
+    and stored as a Fraction. A str must be a point-file token
+    (_record.parse_rational), else ValueError names the coordinate
+    ("Point.x: not an integer or p/q: '1e3'"); a float, a Decimal or a
+    bool raises TypeError.
     """
 
     x: Fraction

@@ -7,33 +7,16 @@ ValueError. Lines end at "\n" only, so a "\r" before it is stripped as
 whitespace and any other line or paragraph separator stays inside its
 line. Blank lines and lines starting with '#' are ignored. The format
 round-trips exactly.
+
+parse_rational, the coordinate grammar, is _record's, re-exported here as
+the same function: records, flags and point files read numbers alike.
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
-
+from ._record import parse_rational
 from .errors import PointFormatError
-
-# geometry is imported where a PointSet is built, not here: rational flags
-# are parsed by commands that never touch geometry.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .geometry import PointSet
-
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
-def parse_rational(token: str) -> Fraction:
-    """Parse an integer or "p/q" token of ASCII digits; q must be positive."""
-    match = _RATIONAL.fullmatch(token.strip())
-    if match is None:
-        raise ValueError(f"not an integer or p/q: {token!r}")
-    num, den = match.groups(default="1")
-    if int(den) == 0:
-        raise ValueError(f"denominator must be positive in {token!r}")
-    return Fraction(int(num), int(den))
+from .geometry import PointSet
 
 
 def parse_points(text: str) -> PointSet:
@@ -42,8 +25,6 @@ def parse_points(text: str) -> PointSet:
     Raises PointFormatError with the offending 1-based line number, or
     DuplicatePoints if the file repeats a point.
     """
-    from .geometry import PointSet
-
     coords = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

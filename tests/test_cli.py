@@ -354,6 +354,21 @@ def test_over_4300_digit_numbers_exit_2(tmp_path):
     proc = run_cli("constants", "--c", "71", "--mode", "fixed-eps", "--eps", f"1/{big}")
     assert proc.returncode == 2
     assert proc.stdout == ""
+    # integer flags take the same grammar, without a "/q" part
+    for args in (("constants", "--mode", "dirac", "--c", "7_1"),
+                 ("constants", "--mode", "dirac", "--c", "16/2"),
+                 ("constants", "--mode", "dirac", "--c", "0x10"),
+                 ("constants", "--mode", "dirac", "--c", big),
+                 ("search", "--n", "\u0661\u0662", "--extent", "11", "--iters", "30",
+                  "--seed", "1"),
+                 ("generate", "grid", "\u0663", "2")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == ""
+    signed = run_cli("constants", "--mode", "dirac", "--c", "+71", "--json")
+    plain = run_cli("constants", "--mode", "dirac", "--c", "71", "--json")
+    assert signed.returncode == 0
+    assert signed.stdout == plain.stdout
 
 
 def test_verify_values_over_4300_digits_exit_5(tmp_path):
@@ -781,6 +796,10 @@ def test_each_command_imports_only_its_modules(tmp_path):
     assert {"pointline.audits", "pointline.constants", "pointline.geometry",
             "pointline.pointfile"} <= verify
     assert not verify & {"pointline.generators", "dataclasses", "inspect"}
+    # a rational flag is parsed without loading the point-file reader
+    fixed_eps = _imported("-m", "pointline", "constants", "--mode", "fixed-eps", "--c", "71",
+                          "--eps", "1/45", "--json", tmp_path=tmp_path)
+    assert not fixed_eps & {"pointline.pointfile", "pointline.geometry"}
     search = _imported("-m", "pointline", "search", "--n", "12", "--extent", "11",
                        "--iters", "300", "--seed", "1", "--json", tmp_path=tmp_path)
     assert "pointline.generators" in search

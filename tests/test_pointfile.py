@@ -1,16 +1,21 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from pointline import (
     DuplicatePoints,
+    PipelineParams,
     Point,
     PointFormatError,
     PointSet,
+    _record,
     format_points,
     parse_points,
     parse_rational,
+    pointfile,
 )
+from pointline.constants import checked_eps, checked_tail_width
 
 
 def test_parse_basic():
@@ -39,11 +44,27 @@ def test_parse_rational_token():
         parse_rational("2.5")
     assert parse_rational("+3") == 3
     assert parse_rational(" -0/5 ") == 0
-    # only ASCII digits, an optional sign on the numerator and one slash
+    # only ASCII digits, an optional sign on the numerator and one slash;
+    # records and the checked_* gates read strings by the same grammar and
+    # refuse a bad one at once, naming the field, whatever its exponent
+    readers = [("Point.x", lambda t: Point(t, 0)), ("Point.y", lambda t: Point(0, t)),
+               ("eps", checked_eps), ("width_bound", checked_tail_width)]
+    readers += [(f"PipelineParams.{name}", lambda t, name=name: PipelineParams(**{name: t}))
+                for name in PipelineParams._fields]
+    start = time.process_time()
     for token in ("1_0", "\u0663", "1/\u0663", "\uff11", "0x10", "1/+2", "--1",
-                  "", "1/", "/2", "1 / 2", "1/2/3", "1e3"):
+                  "", "1/", "/2", "1 / 2", "1/2/3", "1e3",
+                  "1e10000000", "0.5", " 0.5 ", "1/0"):
         with pytest.raises(ValueError):
             parse_rational(token)
+        for what, read in readers:
+            with pytest.raises(ValueError) as exc:
+                read(token)
+            assert str(exc.value).startswith(f"{what}: "), (what, token)
+    assert time.process_time() - start < 1
+    assert pointfile.parse_rational is _record.parse_rational
+    assert checked_eps("1/4") == Fraction(1, 4)
+    assert PipelineParams(tail_width="1/10000000000000").tail_width == Fraction(1, 10**13)
 
 
 def test_parse_errors_carry_line_numbers():

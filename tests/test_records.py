@@ -150,7 +150,7 @@ def test_floats_are_refused_where_they_enter():
 
 
 def test_numpy_scalars_are_refused():
-    np = pytest.importorskip("numpy")
+    np = pytest.importorskip("numpy", exc_type=ImportError)
     for bad in (np.int64(1), np.float64(1), np.bool_(True)):
         with pytest.raises(TypeError, match="Point.x"):
             Point(bad, 0)
