@@ -65,7 +65,8 @@ _EXPORTS = {
         "pair_tally",
         "subgraph_edge_count",
     ),
-    "pointfile": ("format_points", "parse_points", "parse_rational"),
+    "pointfile": ("format_points", "parse_points"),
+    "_record": ("parse_rational",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -25,7 +25,10 @@ Each command imports the library modules it uses when it runs, and its
 parser is filled in only when it is parsed, so a command pays start-up
 only for its own modules. Documents are rendered by _json, which matches
 json.dumps(..., sort_keys=True[, indent=2]) byte for byte, so no command
-imports json.
+imports json. A document holds only strings pointline builds (names,
+notes, p/q rationals, decimal previews, mode, rng, digests), all printable
+ASCII without '"' or '\\'; _json writes those unescaped and refuses any
+other string with ValueError.
 
 run() is the one way a command ends, for `python -m pointline` and the
 `pointline` script alike: it flushes stdout and stderr and leaves through
@@ -100,36 +103,22 @@ def _plain(value):
     return plain
 
 
-_ESCAPES = {chr(i): f"\\u{i:04x}" for i in range(0x20)} | {
-    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-}
-
-
 def _json_string(s: str) -> str:
-    """s as a JSON string literal, escaped as json.dumps's ensure_ascii does."""
+    """s between quotes, as json.dumps writes it; ValueError unless s is
+    printable ASCII without '"' or '\\', so no escape is ever needed."""
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'
-    out = []
-    for ch in s:
-        code = ord(ch)
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif code < 0x7F:
-            out.append(ch)
-        elif code < 0x10000:
-            out.append(f"\\u{code:04x}")
-        else:  # astral: a UTF-16 surrogate pair
-            code -= 0x10000
-            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
-    return '"' + "".join(out) + '"'
+    raise ValueError(f"not a document string: {s!r}")
 
 
 def _json(value, newline: str | None = None) -> str:
     """json.dumps(value, sort_keys=True), byte for byte, or with indent=2
     when newline is "\\n" (it carries the indentation of nested levels).
 
-    value holds str keys and str, int, bool, None, list and dict values. As
-    in json, an int of more than 4300 digits raises ValueError.
+    value holds str keys and str, int, bool, None, list and dict values;
+    every string is printable ASCII without '"' or '\\', and any other
+    string raises ValueError where json.dumps would escape it. As in json,
+    an int of more than 4300 digits raises ValueError.
     """
     if isinstance(value, str):
         return _json_string(value)

@@ -193,7 +193,8 @@ class _Climb:
         distinct new key. The one reduction stays inline, the hot loop of
         the search: geometry._directions would build another list per
         proposal and could not stop at the first point whose degree passes
-        bound.
+        bound; a score built on it made search_min_dirac(40, 30, 500, 2024)
+        12-13% slower in CPU time (Python 3.11, 40 interleaved runs).
         """
         cx, cy = cell
         degree = 0

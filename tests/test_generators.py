@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,24 @@ def test_generate_caps_the_point_count():
                      (("random_grid", MAX_POINTS + 1), {"extent": 10**4, "seed": 1})):
         with pytest.raises(GenerationFailed, match="cap"):
             generate(*args, **kw)
+
+
+def test_over_cap_requests_are_refused_at_once():
+    # At the caps the work is real: generate("collinear", 10**5) takes about
+    # 1 s and search_min_dirac(1400, 10**6, 1, 1) about 1.9 s and 260 MB, so
+    # no at-cap run starts here. Each request past a cap or out of range is
+    # refused before any of its work is done.
+    for error, call in (
+        (GenerationFailed, lambda: generate("grid", 1000, 1001)),
+        (GenerationFailed, lambda: generate("random_grid", 10**6, extent=0, seed=1)),
+        (GenerationFailed, lambda: search_min_dirac(1415, 10**6, 1, 1)),
+        (ValueError, lambda: generate("random_grid", MAX_POINTS, extent=2**64, seed=1)),
+        (ValueError, lambda: search_min_dirac(1400, 2**64, 1, 1)),
+    ):
+        start = time.process_time()
+        with pytest.raises(error):
+            call()
+        assert time.process_time() - start < 0.1
 
 
 def test_search_tiny():
@@ -264,6 +283,21 @@ def test_proposals_do_not_recompute_the_kernel(monkeypatch):
     # points after it; 3000 proposals add no call
     assert calls == list(range(11, -1, -1)) * 10
     assert res.iterations_run == 3000
+
+
+def test_score_reduces_as_geometry_does():
+    # score's inline reduction gives geometry._directions's keys, whatever
+    # the signs of dx and dy: for each cell c of a 4x4 grid, every other
+    # point of the grid moves onto c
+    cells = [(x, y) for x in range(4) for y in range(4)]
+    for c in cells:
+        pts = [cell for cell in cells if cell != c]
+        climb = generators._Climb(pts)
+        for idx in range(len(pts)):
+            others = [(x, y, 1) for j, (x, y) in enumerate(pts) if j != idx]
+            _, row = climb.score(idx, c, 15)
+            assert row[idx] is None
+            assert row[:idx] + row[idx + 1:] == _directions((*c, 1), others)
 
 
 def test_search_result_invariants():

@@ -1,6 +1,7 @@
 """Property tests drawn by Hypothesis: metamorphic relations of the
 arrangement kernel, the point-file round trip, the incremental search
-against the reference climb, and the CLI's JSON writer against json.
+against the reference climb, and the CLI's JSON writer against json on
+document strings, with its refusal of every other string.
 
 Hypothesis is a test-only extra; without it this module is skipped. Every
 test is derandomized and keeps no example database, so the suite draws the
@@ -136,19 +137,45 @@ def test_small_searches_match_the_reference_climb(case):
     assert [(p.x, p.y) for p in res.best_set] == pts
 
 
-json_strings = st.one_of(
-    st.text(),
-    st.text(st.characters(min_codepoint=0x80)),
-    st.text(st.characters(min_codepoint=0x10000)),  # surrogate pairs when escaped
-    st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\b\f\n\r\t ~é\u2028\U0001f600')),
-)
+# The strings a document holds: printable ASCII without '"' or '\\'.
+DOCUMENT_ALPHABET = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\')
+document_strings = st.text(DOCUMENT_ALPHABET)
 json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-10**4299, 10**4299), json_strings)
+    st.none(), st.booleans(), st.integers(), st.integers(-10**4299, 10**4299), document_strings)
 json_payloads = st.recursive(
     json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(document_strings, inner, max_size=4),
     max_leaves=24,
 )
+
+# Any other string: at least one character outside the alphabet, among any
+# text, non-ASCII, astral (a surrogate pair if escaped), quotes,
+# backslashes and control characters.
+foreign_chars = st.one_of(
+    st.characters(max_codepoint=0x7F).filter(lambda ch: ch not in DOCUMENT_ALPHABET),
+    st.characters(min_codepoint=0x80),
+    st.characters(min_codepoint=0x10000),
+    st.sampled_from('"\\\x00\x01\x1f\x7f\b\f\n\r\t\u2028\u00e9\U0001f600'),
+)
+any_strings = st.one_of(st.text(), document_strings)
+foreign_strings = st.builds(lambda head, ch, tail: head + ch + tail,
+                            any_strings, foreign_chars, any_strings)
+
+
+@st.composite
+def foreign_payloads(draw):
+    """A payload holding one foreign string, as a value or as a key, nested
+    up to three levels among document values."""
+    bad = draw(foreign_strings)
+    if draw(st.booleans()):
+        value = bad
+    else:
+        value = draw(st.dictionaries(document_strings, json_scalars, max_size=3))
+        value[bad] = draw(json_scalars)
+    for _ in range(draw(st.integers(0, 3))):
+        key, sibling = draw(document_strings), draw(json_scalars)
+        value = draw(st.sampled_from(([value, sibling], [sibling, value], {key: value})))
+    return value
 
 
 @fixed(300)
@@ -156,3 +183,11 @@ json_payloads = st.recursive(
 def test_json_writer_matches_json_dumps(value):
     assert _json(value) == json.dumps(value, sort_keys=True)
     assert _json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@fixed(300)
+@given(foreign_payloads())
+def test_json_writer_refuses_foreign_strings(value):
+    for newline in (None, "\n"):
+        with pytest.raises(ValueError, match="^not a document string: "):
+            _json(value, newline)
