@@ -15,7 +15,7 @@ from math import comb, gcd
 
 from ._record import Record
 from .errors import GenerationFailed
-from .geometry import PointSet, _directions
+from .geometry import PointSet
 
 _MASK64 = (1 << 64) - 1
 
@@ -43,22 +43,22 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.below(1 << 64)
 
     def below(self, bound: int) -> int:
         """Uniform draw from 0..bound-1 by rejection; no modulo bias.
-        bound is at most 2^64, the number of values a draw can take."""
+        bound is at most 2^64, the number of values a draw can take. Each
+        attempt is the next value of the stream, mixed inline."""
         if not 0 < bound <= 1 << 64:
             raise ValueError(f"bound must be in 1..2^64, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % bound
+            self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                return z % bound
 
 
 def generate(kind: str, *sizes: int, extent: int | None = None,
@@ -149,34 +149,31 @@ class _Climb:
     """One restart's configuration with its pair keys and direction classes
     kept live.
 
-    keys[j][i] is the direction between points j and i, reduced as in
-    geometry._directions; its sign rule makes it the same from either end,
-    so one tuple serves keys[j][i], keys[i][j] and the class dicts.
-    keys[j][j] is None. classes[j] maps each key in keys[j] to the number
-    of other points on the line through j that way. Both are built once,
-    from each point's directions to the points after it, by
-    geometry._directions on (x, y, 1) triples. score reduces plain integer
-    differences inline, which gives the same keys because every D is 1. An
-    accepted move updates row and column idx of keys and the classes in
-    O(n), so a proposal is scored without recomputing the arrangement.
-    The classes are plain dicts, whose subscripts CPython specialises.
+    A key is an int direction id: the reduced direction (rx, ry) of
+    geometry._directions, whose sign rule makes it the same from either
+    end, coded as rx*w + ry with w = 2*side - 1 (see _direction_ids).
+    keys[j][i] is the id between points j and i, one int object serving
+    keys[i][j] too, and keys[j][j] is None. classes[j] maps each id in
+    keys[j] to the number of other points on the line through j that way.
+    The build reduces each pair once, from its earlier point, by
+    _direction_ids. An accepted move updates row and column idx of keys
+    and the classes in O(n), so a proposal is scored without recomputing
+    the arrangement. The classes are plain dicts, whose subscripts CPython
+    specialises, and an int id hashes and compares faster than a tuple.
     occupied is set(pts).
     """
 
-    def __init__(self, pts: list[tuple[int, int]]):
+    def __init__(self, pts: list[tuple[int, int]], w: int):
         self.pts = pts
+        self.w = w
         self.occupied = set(pts)
-        # each pair is reduced once, from its earlier point; the direction
-        # from j back to an earlier i is later[i][j - i - 1], gathered by map
-        # because a comprehension over the n^2/2 entries measured slower
-        hom = [(x, y, 1) for x, y in pts]
-        later = [_directions(h, hom[j + 1:]) for j, h in enumerate(hom)]
-        self.keys = []
-        self.classes = []
-        for j in range(len(pts)):
-            row = [*map(list.__getitem__, later, range(j - 1, -1, -1)), None, *later[j]]
-            self.keys.append(row)
-            self.classes.append(_classes_of(row))
+        # the id from j back to an earlier i is later[i][j - i - 1],
+        # gathered by map because a comprehension over the n^2/2 entries
+        # measured slower
+        later = [_direction_ids(q, pts[j + 1:], w) for j, q in enumerate(pts)]
+        self.keys = [[*map(list.__getitem__, later, range(j - 1, -1, -1)), None, *later[j]]
+                     for j in range(len(pts))]
+        self.classes = [_classes_of(row) for row in self.keys]
         self.degree = max(len(at_j) for at_j in self.classes)
 
     def score(self, idx: int, cell: tuple[int, int], bound: int) -> tuple[int, list] | None:
@@ -184,19 +181,21 @@ class _Climb:
         new row idx of keys for accept(); None as soon as that degree is
         seen to exceed bound. The state is unchanged.
 
-        The old key of each other point j is keys[idx][j]; the new key,
-        from j to cell, is the one reduction per point. When the two keys
-        differ, j loses a line if its old class holds only the moved point
-        and gains one if it has no class for the new key, so a point with
-        fewer classes than the largest degree seen so far cannot raise it
-        and its classes are not read. The moved point lies on one line per
-        distinct new key. The one reduction stays inline, the hot loop of
-        the search: geometry._directions would build another list per
-        proposal and could not stop at the first point whose degree passes
-        bound; a score built on it made search_min_dirac(40, 30, 500, 2024)
-        12-13% slower in CPU time (Python 3.11, 40 interleaved runs).
+        The old id of each other point j is keys[idx][j]; the new id, from
+        j to cell, is the one reduction per point. When the two ids differ,
+        j loses a line if its old class holds only the moved point and
+        gains one if it has no class for the new id, so a point with fewer
+        classes than the largest degree seen so far cannot raise it and its
+        classes are not read. The moved point lies on one line per distinct
+        new id. The reduction is _direction_ids' rule, kept inline in this
+        hot loop so that a rejected proposal stops at the first point whose
+        degree passes bound: reducing the row first with _direction_ids
+        made search_min_dirac(12, 11, 3000, s) 7-11% and (40, 30, 500, s)
+        2-5% slower in CPU (Python 3.11, 20 interleaved runs, seeds 2024
+        and 434089801).
         """
         cx, cy = cell
+        w = self.w
         degree = 0
         row = []
         for (px, py), old, at_j in zip(self.pts, self.keys[idx], self.classes):
@@ -207,7 +206,7 @@ class _Climb:
             g = gcd(dx, dy)
             if dx < 0 or (dx == 0 and dy < 0):
                 g = -g
-            new = (dx // g, dy // g)
+            new = dx // g * w + dy // g
             row.append(new)
             d = len(at_j)
             if d >= degree and old != new:
@@ -222,27 +221,48 @@ class _Climb:
         return max(degree, moved), row
 
     def accept(self, idx: int, cell: tuple[int, int], degree: int, row: list) -> None:
-        """Move point idx to cell, given score(idx, cell, bound) == (degree, row)."""
-        keys, classes = self.keys, self.classes
-        for j, (old, new) in enumerate(zip(keys[idx], row)):
+        """Move point idx to cell, given score(idx, cell, bound) == (degree, row).
+        The moved point's classes are counted in the same walk, which took
+        less time than a Counter of the row at n = 12 and 40 (Python 3.11)."""
+        keys = self.keys
+        moved = {}
+        for old, new, at_j, keys_j in zip(keys[idx], row, self.classes, keys):
             if old != new:
-                at_j = classes[j]
                 if at_j[old] == 1:
                     del at_j[old]
                 else:
                     at_j[old] -= 1
                 at_j[new] = at_j.get(new, 0) + 1
-            keys[j][idx] = new
+            keys_j[idx] = new
+            moved[new] = moved.get(new, 0) + 1
+        del moved[None]
         keys[idx] = row
-        classes[idx] = _classes_of(row)
+        self.classes[idx] = moved
         self.occupied.remove(self.pts[idx])
         self.occupied.add(cell)
         self.pts[idx] = cell
         self.degree = degree
 
 
+def _direction_ids(anchor: tuple[int, int], others: list[tuple[int, int]], w: int) -> list[int]:
+    """The id of the direction from anchor to each of others, in order: the
+    reduced direction (rx, ry) of geometry._directions on (x, y, 1)
+    triples, coded as the int rx*w + ry. Distinct directions get distinct
+    ids while |ry| < w/2, as on a grid of side (w + 1)/2. An other equal
+    to anchor raises ZeroDivisionError."""
+    px, py = anchor
+    out = []
+    for qx, qy in others:
+        dx, dy = qx - px, qy - py
+        g = gcd(dx, dy)
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        out.append(dx // g * w + dy // g)
+    return out
+
+
 def _classes_of(row: list) -> dict:
-    """The direction classes of one row of _Climb.keys: each key's count,
+    """The direction classes of one row of _Climb.keys: each id's count,
     the None on the diagonal left out."""
     at_j = dict(Counter(row))
     del at_j[None]
@@ -254,7 +274,7 @@ def _sample_start(rng: SplitMix64, n: int, side: int) -> _Climb:
     for _ in range(4096):
         pts = sorted(_draw_cells(rng, n, side))
         if len(pts) == n:
-            climb = _Climb(pts)
+            climb = _Climb(pts, 2 * side - 1)
             if climb.degree >= 2:
                 return climb
     raise GenerationFailed("could not sample a non-collinear start")
@@ -280,16 +300,16 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
     index, so the outcome does not depend on scheduling; the best restart
     wins, ties to the lowest restart index. ratio reports degree / (n/2).
 
-    A restart reduces each of its start's C(n, 2) pairs once, into a table
-    of pair keys and the direction classes built from it; a proposal is
-    then scored in O(n) from them (see _Climb.score): only lines through
-    the moved point's old or new cell can change, so each other point's
-    degree moves by at most one either way, and the moved point's degree
-    is its number of distinct directions to the others. The old keys are
-    read from the table, so a proposal reduces at most n - 1 new ones, and
-    scoring stops as soon as the candidate's degree exceeds the current
-    one, which rejects it. The table and classes are updated only when a
-    move is accepted.
+    A restart keys each of its start's C(n, 2) pairs by an int direction
+    id, in a table of pair keys and the direction classes built from it; a
+    proposal is then scored in O(n) from them (see _Climb.score): only
+    lines through the moved point's old or new cell can change, so each
+    other point's degree moves by at most one either way, and the moved
+    point's degree is its number of distinct directions to the others. The
+    old keys are read from the table, so a proposal reduces at most n - 1
+    new ones, and scoring stops as soon as the candidate's degree exceeds
+    the current one, which rejects it. The table and classes are updated
+    only when a move is accepted.
 
     Raises GenerationFailed, before any work is done, when the restarts'
     pairs plus the iterations' proposals exceed MAX_SEARCH_WORK.

@@ -765,19 +765,45 @@ def test_parser_defaults_and_choices_come_from_the_library():
     assert f"choose from {', '.join(map(repr, (*MODES, 'fixed-eps')))}" in proc.stderr
 
 
-def _importtime(*args, tmp_path) -> set:
-    """The modules a python run imports, from its -X importtime report."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          capture_output=True, text=True, cwd=tmp_path)
+# Loaded by site at start-up, ahead of any other sitecustomize: lists
+# sys.modules into a file when the run ends, at exit or at the os._exit
+# that ends a pointline command.
+_MODULES_HOOK = """\
+import atexit, os, sys
+
+def _write_modules():
+    with open({out!r}, "w") as f:
+        f.write("\\n".join(sys.modules))
+
+def _exit(code, _os_exit=os._exit):
+    _write_modules()
+    _os_exit(code)
+
+atexit.register(_write_modules)
+os._exit = _exit
+"""
+
+
+def _loaded(*args, tmp_path) -> set:
+    """The modules in sys.modules when a python run ends: those imported by
+    any means, importlib.import_module included."""
+    hook = tmp_path / "modules_hook"
+    hook.mkdir(exist_ok=True)
+    out = hook / "modules.txt"
+    out.unlink(missing_ok=True)
+    (hook / "sitecustomize.py").write_text(_MODULES_HOOK.format(out=str(out)))
+    path = os.pathsep.join(p for p in (str(hook), os.environ.get("PYTHONPATH", "")) if p)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    return set(re.findall(r"^import time:.*\|\s*(\S+)$", proc.stderr, flags=re.M))
+    return set(out.read_text().split("\n"))
 
 
 def _imported(*args, tmp_path) -> set:
-    """The modules a python run imports beyond those that start-up alone
-    imports (`python -c pass` under the same interpreter and environment),
+    """The modules a python run loads beyond those that start-up alone
+    loads (`python -c pass` under the same interpreter and environment),
     such as what a site .pth file loads before pointline runs."""
-    return _importtime(*args, tmp_path=tmp_path) - _importtime("-c", "pass", tmp_path=tmp_path)
+    return _loaded(*args, tmp_path=tmp_path) - _loaded("-c", "pass", tmp_path=tmp_path)
 
 
 def test_each_command_imports_only_its_modules(tmp_path):
@@ -802,6 +828,9 @@ def test_each_command_imports_only_its_modules(tmp_path):
     search = _imported("-m", "pointline", "search", "--n", "12", "--extent", "11",
                        "--iters", "300", "--seed", "1", "--json", tmp_path=tmp_path)
     assert "pointline.generators" in search
+    # a search's start-up is part of its latency: no point-file reader,
+    # audits or constants
+    assert not search & {"pointline.audits", "pointline.constants", "pointline.pointfile"}
     # documents are rendered by cli's own writer, and files read and written
     # with open
     for imported in (constants, analyze, verify, search):
@@ -814,11 +843,9 @@ def test_each_command_imports_only_its_modules(tmp_path):
     bare = _imported("-c", "import pointline", tmp_path=tmp_path)
     assert "pointline" in bare
     assert not {m for m in bare if m.startswith("pointline.")}
-    # the public number grammar is _record's, without the point-set modules;
-    # -X importtime does not list a module that importlib.import_module
-    # loads, such as _record here, but it lists what that module imports
+    # the public number grammar is _record's, without the point-set modules
     grammar = _imported("-c", "import pointline; pointline.parse_rational", tmp_path=tmp_path)
-    assert "fractions" in grammar
+    assert {"pointline._record", "fractions"} <= grammar
     assert not grammar & {"pointline.geometry", "pointline.pointfile", "pointline.errors"}
 
 

@@ -15,7 +15,7 @@ from pointline import (
     generate,
     search_min_dirac,
 )
-from pointline import generators
+from pointline import generators, geometry
 from pointline.generators import MAX_POINTS, RNG_ALGORITHM, SplitMix64
 from pointline.geometry import _directions
 
@@ -102,7 +102,7 @@ def test_generate_caps_the_point_count():
 
 def test_over_cap_requests_are_refused_at_once():
     # At the caps the work is real: generate("collinear", 10**5) takes about
-    # 1 s and search_min_dirac(1400, 10**6, 1, 1) about 1.9 s and 260 MB, so
+    # 1 s and search_min_dirac(1400, 10**6, 1, 1) about 1.3 s and 174 MB, so
     # no at-cap run starts here. Each request past a cap or out of range is
     # refused before any of its work is done.
     for error, call in (
@@ -171,6 +171,8 @@ def test_search_golden_run_n40():
     (16, 3, 50, (1, 4)),  # full grid
     (12, 11, 600, (0, 1, 42)),
     (40, 30, 200, (1, 2, 2024)),
+    (12, 10**6, 300, (1, 7)),  # large extent: ids of about 2^41
+    (8, 2**64 - 1, 100, (3,)),  # the largest extent: ids of about 2^129
 ])
 def test_search_matches_reference_climb(n, extent, iterations, seeds):
     for seed in seeds:
@@ -188,7 +190,7 @@ def test_climb_classes_stay_live(monkeypatch):
     def checked(climb, idx, cell, degree, row):
         accept(climb, idx, cell, degree, row)
         assert climb.pts[idx] == cell
-        fresh = generators._Climb(list(climb.pts))
+        fresh = generators._Climb(list(climb.pts), climb.w)
         assert climb.keys == fresh.keys
         n = len(climb.pts)
         assert all(climb.keys[i][j] is climb.keys[j][i] for i in range(n) for j in range(n))
@@ -198,7 +200,9 @@ def test_climb_classes_stay_live(monkeypatch):
         accepted.append(idx)
 
     monkeypatch.setattr(generators._Climb, "accept", checked)
-    for n, extent, seed in ((8, 2, 1), (7, 3, 5), (12, 6, 11)):
+    # ids above 256 are not cached ints, so "is" holds only for a shared
+    # object: the 31x31 and the large grid have many
+    for n, extent, seed in ((8, 2, 1), (7, 3, 5), (12, 6, 11), (12, 30, 3), (12, 10**6, 11)):
         search_min_dirac(n, extent, 300, seed)
     assert len(accepted) > 100
 
@@ -211,10 +215,13 @@ def test_climb_classes_stay_live(monkeypatch):
     (15, 3, 100, (1, 4)),  # one free cell
     (12, 11, 300, (0, 42)),
     (40, 30, 100, (2024,)),
+    (12, 10**6, 300, (1, 7)),  # large extent
+    (8, 2**64 - 1, 100, (3,)),  # the largest extent
 ])
 def test_bounded_score_matches_the_candidate_degree(monkeypatch, n, extent, iterations, seeds):
     # every proposal the search scores, rescored at every bound the climb
-    # can pass (its incumbent degree is 2..n-1)
+    # can pass (its incumbent degree is 2..n-1); the expected row is
+    # geometry._directions's, each direction coded as rx*w + ry
     scored = []
     score = generators._Climb.score
 
@@ -223,7 +230,7 @@ def test_bounded_score_matches_the_candidate_degree(monkeypatch, n, extent, iter
         candidate[idx] = cell
         true_deg = _max_degree(candidate)
         hom = [(x, y, 1) for x, y in candidate]
-        row = _directions(hom[idx], hom[:idx] + hom[idx + 1:])
+        row = [rx * climb.w + ry for rx, ry in _directions(hom[idx], hom[:idx] + hom[idx + 1:])]
         row.insert(idx, None)
         for b in range(2, n):
             got = score(climb, idx, cell, b)
@@ -244,8 +251,8 @@ def test_bounded_score_matches_the_candidate_degree(monkeypatch, n, extent, iter
 
 
 def test_each_scored_proposal_reduces_at_most_n_minus_1_pairs(monkeypatch):
-    # deterministic work count: gcd calls in the proposal loop; the restart
-    # build reduces through geometry._directions and is not counted here
+    # deterministic work count: gcd calls in the proposal loop, apart from
+    # those of the restart builds
     calls = []
     scored = []
     gcd = generators.gcd
@@ -256,48 +263,69 @@ def test_each_scored_proposal_reduces_at_most_n_minus_1_pairs(monkeypatch):
         return gcd(a, b)
 
     def counting_score(climb, idx, cell, bound):
-        scored.append(None)
-        return score(climb, idx, cell, bound)
+        before = len(calls)
+        try:
+            return score(climb, idx, cell, bound)
+        finally:
+            scored.append(len(calls) - before)
 
     monkeypatch.setattr(generators, "gcd", counting_gcd)
     monkeypatch.setattr(generators._Climb, "score", counting_score)
     res = search_min_dirac(12, 11, 3000, 42)
     assert res.degree == 8
-    assert len(calls) <= 11 * len(scored)
+    assert max(scored) <= 11
     # pinned: 2978 scored proposals, 25467 reductions (65516 = 2 * 11 * 2978
     # when both the old and the new key were reduced for every other point)
-    assert (len(scored), len(calls)) == (2978, 25467)
+    assert (len(scored), sum(scored)) == (2978, 25467)
+    # and each of the 10 restarts reduces its start's C(12, 2) pairs once
+    assert len(calls) - sum(scored) == 10 * 66
 
 
 def test_proposals_do_not_recompute_the_kernel(monkeypatch):
+    kernel = []
+    for name in ("_directions", "compute_arrangement"):
+        monkeypatch.setattr(geometry, name, lambda *args, name=name: kernel.append(name))
     calls = []
-    directions = generators._directions
+    direction_ids = generators._direction_ids
 
-    def counting(anchor, others):
+    def counting(anchor, others, w):
         calls.append(len(others))
-        return directions(anchor, others)
+        return direction_ids(anchor, others, w)
 
-    monkeypatch.setattr(generators, "_directions", counting)
+    monkeypatch.setattr(generators, "_direction_ids", counting)
     res = search_min_dirac(n=12, extent=11, iterations=3000, seed=42)
-    # each restart builds its start's classes from 12 anchors, each over the
-    # points after it; 3000 proposals add no call
+    # each restart builds its start's keys from 12 anchors, each over the
+    # points after it; 3000 proposals add no call, and nothing calls the
+    # arrangement kernel
     assert calls == list(range(11, -1, -1)) * 10
     assert res.iterations_run == 3000
+    assert kernel == []
+
+
+def _decoded(direction_id, w):
+    """The direction (rx, ry) that the id rx*w + ry codes, |ry| < w/2."""
+    h = w // 2
+    rx, ry = divmod(direction_id + h, w)
+    return rx, ry - h
 
 
 def test_score_reduces_as_geometry_does():
-    # score's inline reduction gives geometry._directions's keys, whatever
-    # the signs of dx and dy: for each cell c of a 4x4 grid, every other
-    # point of the grid moves onto c
-    cells = [(x, y) for x in range(4) for y in range(4)]
-    for c in cells:
-        pts = [cell for cell in cells if cell != c]
-        climb = generators._Climb(pts)
-        for idx in range(len(pts)):
-            others = [(x, y, 1) for j, (x, y) in enumerate(pts) if j != idx]
-            _, row = climb.score(idx, c, 15)
-            assert row[idx] is None
-            assert row[:idx] + row[idx + 1:] == _directions((*c, 1), others)
+    # each id score builds decodes to geometry._directions's direction,
+    # whatever the signs of dx and dy: for each cell c of a 4x4 grid, every
+    # other point of the grid moves onto c; the same on a copy stretched
+    # across 0..2^64 - 1 by coprime scales, whose ids are big ints
+    for side, (sx, sy) in ((4, (1, 1)), (2**64, ((2**64 - 1) // 3, 2**62 - 1))):
+        w = 2 * side - 1
+        cells = [(x * sx, y * sy) for x in range(4) for y in range(4)]
+        for c in cells:
+            pts = [cell for cell in cells if cell != c]
+            climb = generators._Climb(list(pts), w)
+            for idx in range(len(pts)):
+                others = [(x, y, 1) for j, (x, y) in enumerate(pts) if j != idx]
+                _, row = climb.score(idx, c, 15)
+                assert row[idx] is None
+                decoded = [_decoded(i, w) for i in row[:idx] + row[idx + 1:]]
+                assert decoded == _directions((*c, 1), others)
 
 
 def test_search_result_invariants():
