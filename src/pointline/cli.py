@@ -21,6 +21,10 @@ DeltaBreakdown and PipelineParams are rendered without a key list of
 their own, and _plain renders every rational a document holds. Human
 verify prints a skipped check as "NAME: skipped: REASON", from its note.
 
+_document names a document's command and picks its input_digest: the
+sha256 of the point file read (analyze, verify), or else of the parsed
+flags as argparse holds them (constants, search), never of a result.
+
 Each command imports the library modules it uses when it runs, and its
 parser is filled in only when it is parsed, so a command pays start-up
 only for its own modules. Documents are rendered by _json, which matches
@@ -148,12 +152,17 @@ def _json(value, newline: str | None = None) -> str:
     return opening + inner + ("," + inner).join(items) + newline + closing
 
 
-def _document(command: str, source: bytes, payload: dict) -> str:
-    """The JSON document; its input_digest is the sha256 of source."""
+def _document(args, payload: dict, source: bytes | None = None) -> str:
+    """The JSON document of args' command. input_digest is the sha256 of
+    source, the point file read, or else of _json of vars(args) but func
+    and json, each through _plain: an omitted --c-min is hashed as null."""
     import hashlib
 
+    if source is None:
+        flags = {k: _plain(v) for k, v in vars(args).items() if k not in ("func", "json")}
+        source = _json(flags).encode()
     doc = {
-        "command": command,
+        "command": args.command,
         "input_digest": hashlib.sha256(source).hexdigest(),
         "payload": payload,
         "schema_version": SCHEMA_VERSION,
@@ -207,7 +216,7 @@ def _cmd_analyze(args) -> int:
     source, ps = _read_point_file(args.file)
     stats = compute_arrangement(ps)
     if args.json:
-        sys.stdout.write(_document("analyze", source, _plain(stats)))
+        sys.stdout.write(_document(args, _plain(stats), source))
         return EXIT_OK
     rows = [
         ("n", str(stats.n)),
@@ -257,7 +266,7 @@ def _cmd_verify(args) -> int:
     except (BadCutoff, BadEps, ValueError) as exc:
         raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
     if args.json:
-        sys.stdout.write(_document("verify", source, payload))
+        sys.stdout.write(_document(args, payload, source))
     else:
         for entry in entries:
             if isinstance(entry, CheckReport):
@@ -325,7 +334,15 @@ def _cmd_constants(args) -> int:
                 payload["eps_at_least_threshold"] = eps >= Fraction(1, 49)
     except (BadCutoff, BadEps, NoSolution, ValueError) as exc:
         raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-    _emit_constants(args, payload)
+    if args.json:
+        sys.stdout.write(_document(args, payload))
+        return EXIT_OK
+    for key in sorted(payload.keys() - {"sweep"}):
+        val = payload[key]
+        if isinstance(val, dict):
+            print(f"{key:<24}[{val['lo_decimal']}, {val['hi_decimal']}] exact [{val['lo']}, {val['hi']}]")
+        else:
+            print(f"{key:<24}{val}")
     return EXIT_OK
 
 
@@ -355,25 +372,6 @@ def _constants_optimize(args, params) -> dict:
     if args.mode == "beck":
         payload["best_beck_constant"] = _plain(beck_constant_from(best_eps, best_delta))
     return payload
-
-
-def _emit_constants(args, payload) -> None:
-    if args.json:
-        entries = {"command": "constants"} | {
-            k: v for k, v in payload.items() if not isinstance(v, (dict, list))
-        }
-        source = _json(entries).encode()
-        sys.stdout.write(_document("constants", source, payload))
-        return
-    skip = {"sweep"}
-    for key in sorted(payload):
-        if key in skip:
-            continue
-        val = payload[key]
-        if isinstance(val, dict):
-            print(f"{key:<24}[{val['lo_decimal']}, {val['hi_decimal']}] exact [{val['lo']}, {val['hi']}]")
-        else:
-            print(f"{key:<24}{val}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +426,7 @@ def _cmd_search(args) -> int:
         "points": [_plain((p.x, p.y)) for p in result.best_set],
     }
     if args.json:
-        entries = {"command": "search", "n": args.n, "extent": args.extent,
-                   "iters": args.iters, "seed": args.seed}
-        source = _json(entries).encode()
-        sys.stdout.write(_document("search", source, payload))
+        sys.stdout.write(_document(args, payload))
     else:
         print(f"degree {result.degree} ratio {result.ratio} "
               f"({RNG_ALGORITHM}, seed {result.seed}, {result.iterations_run} iterations)")

@@ -255,7 +255,11 @@ def test_constants_refuses_flags_its_mode_does_not_read():
     explicit = run_cli("constants", "--mode", "beck", "--optimize",
                        "--c-min", "8", "--c-max", "200", "--json")
     assert default.returncode == 0
-    assert default.stdout == explicit.stdout
+    # every byte but the digest is the same: an omitted --c-min or --c-max
+    # is hashed as null, not as the 8 or 200 it stands for
+    digests = [json.loads(proc.stdout)["input_digest"] for proc in (default, explicit)]
+    assert digests[0] != digests[1]
+    assert default.stdout.replace(*digests) == explicit.stdout
     payload = json.loads(default.stdout)["payload"]
     assert (payload["c_min"], payload["c_max"]) == (8, 200)
 
@@ -622,17 +626,17 @@ def test_optimize_sweep_over_the_cap_exits_5_before_any_work():
 # each value is computed, never a byte of what is printed.
 CONSTANTS_SHA256 = {
     ("constants", "--mode", "dirac", "--optimize", "--c-min", "8", "--c-max", "600", "--json"):
-        "16b463a5f945b3c968043f577c52ce7e2793f83e22c67fa3139d2b51e69016dd",
+        "fe4f5ff8b07c79aff02312263e9a5033c7d7504b79dc49699f552341ead178b2",
     ("constants", "--mode", "beck", "--optimize", "--c-min", "8", "--c-max", "600", "--json"):
-        "757a0bb118f021a73699753bdfc1d0ffb064376d5c766e0beda8ab596b9c3ec6",
+        "1d3eb8e438fcd243a5f32268ab31d6017f49ea5d4810e54e80405d1ec393281a",
     ("constants", "--c", "71", "--mode", "fixed-eps", "--eps", "1/37", "--json"):
-        "c371edf1e9f2826fd6613ac7ecd762e2c7ea35738edd13d01b618fcaf9a553fe",
+        "b94ccead49064ea91b9d7d1488b3756c265362c69486a1f18e2e33ae2d40a55d",
     ("constants", "--c", "401507", "--mode", "fixed-eps", "--eps", "1/45", "--json"):
-        "2d15d5c2485f6679ad03f4b86ed062d623ae4c59488572a66fa9e7d9c1b2a541",
+        "7bde074476d96f8d7d5a716dc6f0c3e661e2eedee6d1fbacbbab129a60467f7e",
     ("constants", "--c", "78", "--mode", "beck", "--tail-width", "1/100000000000", "--json"):
-        "283f7934d7f0c98f1c94e656487fadfb6e0e5bffe882aa97df14b03c0fe73aa1",
+        "2dac049aa13558d15324294b7581b8a0c30d0b41f03b3e6e493a2312641e3d11",
     ("constants", "--c", "71", "--mode", "dirac", "--tail-width", "1/1" + "0" * 100, "--json"):
-        "c6bbbea9243f1c56e7e8c6b8a27518389e65aa9fd46e7043d7354c8cffde7463",
+        "17d788349aa92a3b75d95b3efff3baa887009856c21f2940568b1e2569f08f11",
     ("verify", "CORPUS", "--check", "proof-trace", "--json"):
         "82045cc141ff9bafc7ac563cb7bb72108ab5cd24bb0d30a86c11b1a699999f46",
 }
@@ -656,6 +660,62 @@ def test_constants_output_is_pinned(tmp_path):
     ):
         proc = run_cli("constants", *command, "--json")
         assert (proc.returncode, proc.stdout, proc.stderr) == (5, "", message + "\n"), command
+
+
+# The object a constants document's input_digest hashes, with every flag
+# but --mode at its default: the command and each flag as argparse holds
+# it, Fractions as "p/q" and an omitted flag as null. --json is not hashed.
+CONSTANTS_FLAGS = {
+    "command": "constants", "c": None, "mode": None, "eps": None, "alpha": "103/16",
+    "beta": "31827/1024", "tail_width": "1/1000000000", "optimize": False,
+    "c_min": None, "c_max": None,
+}
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("--c", "71", "--mode", "dirac"), {"c": 71, "mode": "dirac"}),
+    (("--c", "78", "--mode", "beck", "--tail-width", "1/100000000000"),
+     {"c": 78, "mode": "beck", "tail_width": "1/100000000000"}),
+    (("--c", "71", "--mode", "fixed-eps", "--eps", "2/74"),
+     {"c": 71, "mode": "fixed-eps", "eps": "1/37"}),
+    (("--mode", "beck", "--optimize", "--c-max", "90", "--alpha", "7"),
+     {"mode": "beck", "optimize": True, "c_max": 90, "alpha": "7"}),
+])
+def test_constants_digest_covers_the_parsed_flags(argv, flags):
+    proc = run_cli("constants", *argv, "--json")
+    assert proc.returncode == 0, proc.stderr
+    source = json.dumps(CONSTANTS_FLAGS | flags, sort_keys=True).encode()
+    assert json.loads(proc.stdout)["input_digest"] == hashlib.sha256(source).hexdigest()
+
+
+def test_constants_digest_ignores_flag_order_and_spelling():
+    for argv, respelled in (
+        (("--c", "71", "--mode", "dirac"), ("--mode=dirac", "--c=071")),
+        (("--c", "71", "--mode", "fixed-eps", "--eps", "1/37"),
+         ("--eps=2/74", "--mode", "fixed-eps", "--c", "+71")),
+    ):
+        proc = run_cli("constants", *argv, "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert run_cli("constants", *respelled, "--json").stdout == proc.stdout, respelled
+
+
+def test_constants_digest_does_not_hash_results(monkeypatch, capsys):
+    from pointline import cli, constants
+
+    argv = ["constants", "--c", "71", "--mode", "dirac", "--json"]
+    assert cli.main(argv) == 0
+    before = json.loads(capsys.readouterr().out)
+    solve = constants.solve_fixed_point
+
+    def other_result(c, params, mode):
+        eps, delta = solve(c, params, mode)
+        return eps / 2, delta
+
+    monkeypatch.setattr(constants, "solve_fixed_point", other_result)
+    assert cli.main(argv) == 0
+    after = json.loads(capsys.readouterr().out)
+    assert after["payload"]["eps"] != before["payload"]["eps"]
+    assert after["input_digest"] == before["input_digest"]
 
 
 # Point files that reach each shape of an arrangement or audit document:
