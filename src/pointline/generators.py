@@ -15,7 +15,7 @@ from math import comb, gcd
 
 from ._record import Record
 from .errors import GenerationFailed
-from .geometry import PointSet
+from .geometry import PointSet, _directions
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,13 +72,15 @@ def generate(kind: str, *sizes: int, extent: int | None = None,
     - parabola N: (i, i^2) for i < N, no three collinear (N >= 1).
     - random_grid N: N distinct cells of {0..extent}^2 drawn from
       SplitMix64(seed); extent and seed are required, 0 <= extent < 2^64.
+      Every other kind refuses them rather than ignoring them.
 
     The checks run in this order, so a request that breaks several rules
     gets the first one's error: the kind; the number of sizes; random_grid's
-    extent and seed; grid width and height >= 1; the MAX_POINTS cap,
-    before anything is built; the kind's own minimum n, then random_grid's
-    extent range and room on its grid. The cap and a random_grid that
-    cannot be placed raise GenerationFailed, every other rule ValueError.
+    extent and seed, given to it and to no other kind; grid width and
+    height >= 1; the MAX_POINTS cap, before anything is built; the kind's
+    own minimum n, then random_grid's extent range and room on its grid.
+    The cap and a random_grid that cannot be placed raise
+    GenerationFailed, every other rule ValueError.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -89,6 +91,8 @@ def generate(kind: str, *sizes: int, extent: int | None = None,
         raise ValueError(f"{kind} takes one size: N")
     if kind == "random_grid" and (extent is None or seed is None):
         raise ValueError("random_grid requires --extent and --seed")
+    if kind != "random_grid" and (extent, seed) != (None, None):
+        raise ValueError(f"{kind} takes no --extent or --seed")
     if kind == "grid":
         width, height = sizes
         if width < 1 or height < 1:
@@ -149,14 +153,14 @@ class _Climb:
     """One restart's configuration with its pair keys and direction classes
     kept live.
 
-    A key is an int direction id: the reduced direction (rx, ry) of
-    geometry._directions, whose sign rule makes it the same from either
-    end, coded as rx*w + ry with w = 2*side - 1 (see _direction_ids).
+    A key is an int direction id of geometry._directions, whose sign rule
+    makes it the same from either end, taken on (x, y, 1) triples with
+    w = 2*side - 1: on a grid of that side every |ry| < w/2.
     keys[j][i] is the id between points j and i, one int object serving
     keys[i][j] too, and keys[j][j] is None. classes[j] maps each id in
     keys[j] to the number of other points on the line through j that way.
     The build reduces each pair once, from its earlier point, by
-    _direction_ids. An accepted move updates row and column idx of keys
+    _directions. An accepted move updates row and column idx of keys
     and the classes in O(n), so a proposal is scored without recomputing
     the arrangement. The classes are plain dicts, whose subscripts CPython
     specialises, and an int id hashes and compares faster than a tuple.
@@ -167,10 +171,11 @@ class _Climb:
         self.pts = pts
         self.w = w
         self.occupied = set(pts)
+        hom = [(x, y, 1) for x, y in pts]
         # the id from j back to an earlier i is later[i][j - i - 1],
         # gathered by map because a comprehension over the n^2/2 entries
         # measured slower
-        later = [_direction_ids(q, pts[j + 1:], w) for j, q in enumerate(pts)]
+        later = [_directions(h, hom[j + 1:], w) for j, h in enumerate(hom)]
         self.keys = [[*map(list.__getitem__, later, range(j - 1, -1, -1)), None, *later[j]]
                      for j in range(len(pts))]
         self.classes = [_classes_of(row) for row in self.keys]
@@ -187,12 +192,12 @@ class _Climb:
         gains one if it has no class for the new id, so a point with fewer
         classes than the largest degree seen so far cannot raise it and its
         classes are not read. The moved point lies on one line per distinct
-        new id. The reduction is _direction_ids' rule, kept inline in this
-        hot loop so that a rejected proposal stops at the first point whose
-        degree passes bound: reducing the row first with _direction_ids
-        made search_min_dirac(12, 11, 3000, s) 7-11% and (40, 30, 500, s)
-        2-5% slower in CPU (Python 3.11, 20 interleaved runs, seeds 2024
-        and 434089801).
+        new id. The reduction is _directions' rule on (x, y, 1) triples,
+        kept inline in this hot loop so that a rejected proposal stops at
+        the first point whose degree passes bound: reducing the row first
+        in one call made search_min_dirac(12, 11, 3000, s) 7-11% and
+        (40, 30, 500, s) 2-5% slower in CPU (Python 3.11, 20 interleaved
+        runs, seeds 2024 and 434089801).
         """
         cx, cy = cell
         w = self.w
@@ -242,23 +247,6 @@ class _Climb:
         self.occupied.add(cell)
         self.pts[idx] = cell
         self.degree = degree
-
-
-def _direction_ids(anchor: tuple[int, int], others: list[tuple[int, int]], w: int) -> list[int]:
-    """The id of the direction from anchor to each of others, in order: the
-    reduced direction (rx, ry) of geometry._directions on (x, y, 1)
-    triples, coded as the int rx*w + ry. Distinct directions get distinct
-    ids while |ry| < w/2, as on a grid of side (w + 1)/2. An other equal
-    to anchor raises ZeroDivisionError."""
-    px, py = anchor
-    out = []
-    for qx, qy in others:
-        dx, dy = qx - px, qy - py
-        g = gcd(dx, dy)
-        if dx < 0 or (dx == 0 and dy < 0):
-            g = -g
-        out.append(dx // g * w + dy // g)
-    return out
 
 
 def _classes_of(row: list) -> dict:

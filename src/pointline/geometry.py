@@ -9,9 +9,11 @@ The arrangement kernel writes each point in homogeneous integer
 coordinates (X, Y, D), D > 0 the lcm of its own two denominators, so no
 number grows with the rest of the set. It then walks the points in order
 and groups the points after each one by their gcd-reduced integer
-direction (_directions), one group per line, holding one point's groups at
-a time: O(n^2) pairs, each on integers at most four times as wide as the
-widest input numerator or denominator, and O(n) memory.
+direction, coded as one int id (_directions), one group per line, holding
+one point's groups at a time: O(n^2) pairs, each reduced by gcd on
+integers at most four times as wide as the widest input numerator or
+denominator, and O(n) memory. The search in generators codes its pair
+keys with the same _directions.
 
 All functions are pure; callers may fan work out over configurations
 freely.
@@ -104,29 +106,31 @@ class ArrangementStats(Record):
     dirac_witness: int | None
 
 
-def _directions(anchor: tuple[int, int, int],
-                others: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
-    """The reduced direction from anchor to each of others, in order.
+def _directions(anchor: tuple[int, int, int], others: Sequence[tuple[int, int, int]],
+                w: int) -> list[int]:
+    """The id of the reduced direction from anchor to each of others, in
+    order.
 
     Points are homogeneous triples (X, Y, D) for the point (X/D, Y/D),
     with D > 0. From (x, y, d) to (u, v, e) the kernel reduces
     (dx, dy) = (u*d - x*e, v*d - y*e), which is d*e > 0 times the real
     difference, so no common denominator is needed. The direction is
-    (dx/g, dy/g) for g = gcd(dx, dy), signed so that dx > 0 or
-    dx == 0 < dy: the primitive integer vector along the real difference,
-    whatever the D values. Two others share a direction exactly when they
-    lie on one line through anchor, on either side of it. No other may
-    equal anchor.
+    (rx, ry) = (dx/g, dy/g) for g = gcd(dx, dy), signed so that rx > 0 or
+    rx == 0 < ry: the primitive integer vector along the real difference,
+    whatever the D values. Its id is the int rx*w + ry, so distinct
+    directions get distinct ids while every |ry| < w/2. Two others share
+    an id exactly when they lie on one line through anchor, on either side
+    of it. No other may equal anchor.
     """
     px, py, pd = anchor
-    keys = []
+    ids = []
     for qx, qy, qd in others:
         dx, dy = qx * pd - px * qd, qy * pd - py * qd
         g = gcd(dx, dy)
         if dx < 0 or (dx == 0 and dy < 0):
             g = -g
-        keys.append((dx // g, dy // g))
-    return keys
+        ids.append(dx // g * w + dy // g)
+    return ids
 
 
 def _homogeneous(ps: PointSet) -> list[tuple[int, int, int]]:
@@ -149,16 +153,20 @@ def compute_arrangement(ps: PointSet) -> ArrangementStats:
     of forward classes of size m, s_k = N_(k-1) - N_k. Point i lies on one
     line per forward class, plus one per line on which it comes last; such
     a line's class of size 1 sits at its second-to-last point and holds i.
+    Classes are keyed by _directions' ids with w = 4*max|Y|*max D + 1:
+    |dy| = |Y_q*D_p - Y_p*D_q| <= 2*max|Y|*max D, so every |ry| < w/2.
     O(n^2) pairs on homogeneous integers, one anchor's classes held at a
     time: O(n) memory. Point sets with n < 2 determine no lines and yield
     all-zero statistics.
     """
     pts = _homogeneous(ps)
     n = len(pts)
+    top_y = max((abs(y) for _x, y, _d in pts), default=0)
+    w = 4 * top_y * max((d for _x, _y, d in pts), default=0) + 1
     sizes: Counter[int] = Counter()
     degrees = [0] * n
     for i in range(n - 1):
-        keys = _directions(pts[i], pts[i + 1:])
+        keys = _directions(pts[i], pts[i + 1:], w)
         forward = Counter(keys)
         sizes.update(forward.values())
         degrees[i] += len(forward)

@@ -96,8 +96,10 @@ def oracle_arrangement(coords) -> dict:
 
 
 def _max_degree(pts) -> int:
+    # ids of width w = 4*max|y| + 1, the arrangement kernel's rule for D = 1
     hom = [(x, y, 1) for x, y in pts]
-    return max(len(set(_directions(h, hom[:i] + hom[i + 1:]))) for i, h in enumerate(hom))
+    w = 4 * max(abs(y) for _x, y in pts) + 1
+    return max(len(set(_directions(h, hom[:i] + hom[i + 1:], w))) for i, h in enumerate(hom))
 
 
 def reference_climb(n: int, extent: int, iterations: int, seed: int):

@@ -411,6 +411,9 @@ GENERATE_ERRORS = (
     (("random_grid", "10", "--extent", "2", "--seed", "1"), 5,
      "cannot place 10 distinct points on a 3x3 grid"),
     (("near_pencil", "2000000"), 5, "2000000 points requested; the cap is 1000000"),
+    # only random_grid reads --extent and --seed; every other kind refuses them
+    (("grid", "2", "2", "--extent", "5", "--seed", "3"), 2, "grid takes no --extent or --seed"),
+    (("grid", "0", "5", "--seed", "1"), 2, "grid takes no --extent or --seed"),
 )
 
 

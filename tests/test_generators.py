@@ -91,6 +91,20 @@ def test_random_grid():
         generate("random_grid", 0, extent=2, seed=1)
 
 
+def test_only_random_grid_takes_extent_and_seed():
+    for kind, sizes in (("grid", (2, 2)), ("near_pencil", (4,)), ("collinear", (3,)),
+                        ("parabola", (3,))):
+        assert generate(kind, *sizes, extent=None, seed=None) == generate(kind, *sizes)
+        for kw in ({"extent": 5}, {"seed": 0}, {"extent": 5, "seed": 3}):
+            with pytest.raises(ValueError, match=f"^{kind} takes no --extent or --seed$"):
+                generate(kind, *sizes, **kw)
+    # refused before the size rules and the cap
+    with pytest.raises(ValueError, match="takes no"):
+        generate("grid", 0, 5, seed=1)
+    with pytest.raises(ValueError, match="takes no"):
+        generate("collinear", MAX_POINTS + 1, extent=1)
+
+
 def test_generate_caps_the_point_count():
     assert MAX_POINTS == 10**6
     for args, kw in ((("grid", 100000, 100000), {}), (("grid", 1000, 1001), {}),
@@ -221,7 +235,7 @@ def test_climb_classes_stay_live(monkeypatch):
 def test_bounded_score_matches_the_candidate_degree(monkeypatch, n, extent, iterations, seeds):
     # every proposal the search scores, rescored at every bound the climb
     # can pass (its incumbent degree is 2..n-1); the expected row is
-    # geometry._directions's, each direction coded as rx*w + ry
+    # geometry._directions's ids with the climb's w
     scored = []
     score = generators._Climb.score
 
@@ -230,7 +244,7 @@ def test_bounded_score_matches_the_candidate_degree(monkeypatch, n, extent, iter
         candidate[idx] = cell
         true_deg = _max_degree(candidate)
         hom = [(x, y, 1) for x, y in candidate]
-        row = [rx * climb.w + ry for rx, ry in _directions(hom[idx], hom[:idx] + hom[idx + 1:])]
+        row = _directions(hom[idx], hom[:idx] + hom[idx + 1:], climb.w)
         row.insert(idx, None)
         for b in range(2, n):
             got = score(climb, idx, cell, b)
@@ -252,7 +266,7 @@ def test_bounded_score_matches_the_candidate_degree(monkeypatch, n, extent, iter
 
 def test_each_scored_proposal_reduces_at_most_n_minus_1_pairs(monkeypatch):
     # deterministic work count: gcd calls in the proposal loop, apart from
-    # those of the restart builds
+    # those of the restart builds, which reduce through geometry._directions
     calls = []
     scored = []
     gcd = generators.gcd
@@ -270,6 +284,7 @@ def test_each_scored_proposal_reduces_at_most_n_minus_1_pairs(monkeypatch):
             scored.append(len(calls) - before)
 
     monkeypatch.setattr(generators, "gcd", counting_gcd)
+    monkeypatch.setattr(geometry, "gcd", counting_gcd)
     monkeypatch.setattr(generators._Climb, "score", counting_score)
     res = search_min_dirac(12, 11, 3000, 42)
     assert res.degree == 8
@@ -283,16 +298,15 @@ def test_each_scored_proposal_reduces_at_most_n_minus_1_pairs(monkeypatch):
 
 def test_proposals_do_not_recompute_the_kernel(monkeypatch):
     kernel = []
-    for name in ("_directions", "compute_arrangement"):
-        monkeypatch.setattr(geometry, name, lambda *args, name=name: kernel.append(name))
+    monkeypatch.setattr(geometry, "compute_arrangement", lambda *args: kernel.append(args))
     calls = []
-    direction_ids = generators._direction_ids
+    directions = generators._directions
 
     def counting(anchor, others, w):
         calls.append(len(others))
-        return direction_ids(anchor, others, w)
+        return directions(anchor, others, w)
 
-    monkeypatch.setattr(generators, "_direction_ids", counting)
+    monkeypatch.setattr(generators, "_directions", counting)
     res = search_min_dirac(n=12, extent=11, iterations=3000, seed=42)
     # each restart builds its start's keys from 12 anchors, each over the
     # points after it; 3000 proposals add no call, and nothing calls the
@@ -302,15 +316,8 @@ def test_proposals_do_not_recompute_the_kernel(monkeypatch):
     assert kernel == []
 
 
-def _decoded(direction_id, w):
-    """The direction (rx, ry) that the id rx*w + ry codes, |ry| < w/2."""
-    h = w // 2
-    rx, ry = divmod(direction_id + h, w)
-    return rx, ry - h
-
-
 def test_score_reduces_as_geometry_does():
-    # each id score builds decodes to geometry._directions's direction,
+    # each id score builds is geometry._directions's id with the same w,
     # whatever the signs of dx and dy: for each cell c of a 4x4 grid, every
     # other point of the grid moves onto c; the same on a copy stretched
     # across 0..2^64 - 1 by coprime scales, whose ids are big ints
@@ -324,8 +331,7 @@ def test_score_reduces_as_geometry_does():
                 others = [(x, y, 1) for j, (x, y) in enumerate(pts) if j != idx]
                 _, row = climb.score(idx, c, 15)
                 assert row[idx] is None
-                decoded = [_decoded(i, w) for i in row[:idx] + row[idx + 1:]]
-                assert decoded == _directions((*c, 1), others)
+                assert row[:idx] + row[idx + 1:] == _directions((*c, 1), others, w)
 
 
 def test_search_result_invariants():

@@ -262,6 +262,11 @@ def test_kernel_memory_stays_linear():
     assert sum(math.comb(i, 2) * si for i, si in st.s.items()) == math.comb(1000, 2)
 
 
+# 150 rational points of the unit circle, each with its own denominator
+CIRCLE_150 = [(Fraction(1 - t * t, 1 + t * t), Fraction(2 * t, 1 + t * t))
+              for t in range(2, 302, 2)]
+
+
 def test_kernel_operands_stay_within_four_times_the_input_width(monkeypatch):
     # each pair is reduced in its own two points' denominators: from b-bit
     # inputs, X, Y and D have at most 2b bits and every gcd operand at most
@@ -269,8 +274,7 @@ def test_kernel_operands_stay_within_four_times_the_input_width(monkeypatch):
     # of distinct denominators instead, to 1438 bits here.
     from pointline import geometry
 
-    coords = [(Fraction(1 - t * t, 1 + t * t), Fraction(2 * t, 1 + t * t))
-              for t in range(2, 302, 2)]
+    coords = CIRCLE_150
     assert len({x.denominator for x, _y in coords}) == len(coords) == 150
     b = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
             for xy in coords for c in xy)
@@ -287,24 +291,65 @@ def test_kernel_operands_stay_within_four_times_the_input_width(monkeypatch):
     assert 0 < widest <= 4 * b + 1, (widest, b)
 
 
+# integer points, x and y with different denominators, negative
+# coordinates, and two lines of five points each whose D values differ
+F = Fraction
+ON_HALF = [(F(0), F(-1, 3)), (F(1, 5), F(-7, 30)), (F(-1), F(-5, 6)),
+           (F(4), F(5, 3)), (F(1, 2), F(-1, 12))]        # y = x/2 - 1/3
+ON_STEEP = [(F(0), F(1)), (F(1), F(-1)), (F(1, 3), F(1, 3)),
+            (F(-1, 4), F(3, 2)), (F(3, 5), F(-1, 5))]    # y = 1 - 2x
+LOOSE = [(F(-7, 2), F(5, 3)), (F(-3), F(-2)), (F(5, 7), F(-9, 4)),
+         (F(2), F(3)), (F(-11, 6), F(0))]
+MIXED_DENOMINATORS = ON_HALF + ON_STEEP + LOOSE
+
+
 def test_kernel_mixed_denominators_match_oracle():
-    # integer points, x and y with different denominators, negative
-    # coordinates, and two lines of five points each whose D values differ
     from pointline.geometry import _homogeneous
 
-    F = Fraction
-    on_half = [(F(0), F(-1, 3)), (F(1, 5), F(-7, 30)), (F(-1), F(-5, 6)),
-               (F(4), F(5, 3)), (F(1, 2), F(-1, 12))]        # y = x/2 - 1/3
-    on_steep = [(F(0), F(1)), (F(1), F(-1)), (F(1, 3), F(1, 3)),
-                (F(-1, 4), F(3, 2)), (F(3, 5), F(-1, 5))]    # y = 1 - 2x
-    loose = [(F(-7, 2), F(5, 3)), (F(-3), F(-2)), (F(5, 7), F(-9, 4)),
-             (F(2), F(3)), (F(-11, 6), F(0))]
-    for line in (on_half, on_steep):
+    for line in (ON_HALF, ON_STEEP):
         assert len({d for _x, _y, d in _homogeneous(PointSet.from_coords(line))}) >= 3
-    coords = on_half + on_steep + loose
+    coords = list(MIXED_DENOMINATORS)
     rnd = random.Random(37)
     for _ in range(4):
         st = compute_arrangement(PointSet.from_coords(coords))
         assert stats_as_dict(st) == oracle_arrangement(coords)
         assert st.l_max == 5
         rnd.shuffle(coords)
+
+
+@pytest.mark.parametrize("coords, widest", [
+    # y = +-M with unit x-steps: from (i, -M) to (i + 1, M) is (1, 2M)
+    ([(x, y) for x in range(6) for y in (-1000, 1000)], 2000),
+    (MIXED_DENOMINATORS, None),
+    (CIRCLE_150, None),
+])
+def test_kernel_ids_decode_to_the_exact_directions(monkeypatch, coords, widest):
+    # every id compute_arrangement keys a class by, decoded with the w it
+    # was coded with, is the primitive, sign-ruled vector along the exact
+    # difference of its two points, with |ry| < w/2
+    from pointline import geometry
+
+    directions = geometry._directions
+    calls = []
+
+    def recording(anchor, others, w):
+        ids = directions(anchor, others, w)
+        calls.append((anchor, others, w, ids))
+        return ids
+
+    monkeypatch.setattr(geometry, "_directions", recording)
+    compute_arrangement(PointSet.from_coords(coords))
+    assert len(calls) == len(coords) - 1
+    top = 0
+    for (px, py, pd), others, w, ids in calls:
+        for (qx, qy, qd), direction_id in zip(others, ids, strict=True):
+            rx, ry = divmod(direction_id + w // 2, w)
+            ry -= w // 2
+            assert math.gcd(rx, ry) == 1
+            assert rx > 0 or (rx == 0 and ry > 0)
+            fx, fy = Fraction(qx, qd) - Fraction(px, pd), Fraction(qy, qd) - Fraction(py, pd)
+            assert rx * fy == ry * fx
+            assert 2 * abs(ry) < w
+            top = max(top, abs(ry))
+    if widest is not None:
+        assert top == widest

@@ -55,7 +55,8 @@ def degrees(ps):
     """Lines through each point, in point order: its distinct directions to
     all the other points."""
     pts = _homogeneous(ps)
-    return [len(set(_directions(p, pts[:i] + pts[i + 1:]))) for i, p in enumerate(pts)]
+    w = 4 * max(abs(y) for _x, y, _d in pts) * max(d for _x, _y, d in pts) + 1
+    return [len(set(_directions(p, pts[:i] + pts[i + 1:], w))) for i, p in enumerate(pts)]
 
 
 def histogram(stats):
