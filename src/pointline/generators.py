@@ -299,8 +299,10 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
     the current one, which rejects it. The table and classes are updated
     only when a move is accepted.
 
-    Raises GenerationFailed, before any work is done, when the restarts'
-    pairs plus the iterations' proposals exceed MAX_SEARCH_WORK.
+    The work cap and the loop read one restart schedule, and
+    iterations_run equals iterations. Raises GenerationFailed, before any
+    work is done, when the restarts' pairs plus the iterations' proposals
+    exceed MAX_SEARCH_WORK.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -310,8 +312,8 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
         raise ValueError(f"need iterations >= 1, got {iterations}")
     side = _grid_side(n, extent)
     restart_len = max(1, iterations // 10)
-    restarts = -(-iterations // restart_len)
-    work = restarts * comb(n, 2) + iterations * (n + 10)
+    starts = range(0, iterations, restart_len)
+    work = len(starts) * comb(n, 2) + iterations * (n + 10)
     if work > MAX_SEARCH_WORK:
         raise GenerationFailed(
             f"search work {work} requested for n={n} over {iterations} iterations; "
@@ -320,13 +322,10 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
 
     best_pts: list[tuple[int, int]] | None = None
     best_deg = 0
-    consumed = 0
-    restart = 0
-    while consumed < iterations:
-        budget = min(restart_len, iterations - consumed)
+    for restart, first in enumerate(starts):
         rng = SplitMix64(seed ^ restart)
         climb = _sample_start(rng, n, side)
-        for _ in range(budget):
+        for _ in range(min(restart_len, iterations - first)):
             for _attempt in range(64):
                 idx = rng.below(n)
                 cell = (rng.below(side), rng.below(side))
@@ -342,15 +341,13 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
                     continue  # collinear candidates are rejected
                 climb.accept(idx, cell, cand_deg, row)
                 break
-        consumed += budget
         if best_pts is None or climb.degree < best_deg:
             best_pts, best_deg = climb.pts, climb.degree
-        restart += 1
 
     return SearchResult(
         best_set=PointSet.from_coords(best_pts),
         degree=best_deg,
         ratio=Fraction(2 * best_deg, n),
-        iterations_run=consumed,
+        iterations_run=iterations,
         seed=seed,
     )

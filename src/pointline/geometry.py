@@ -152,7 +152,8 @@ def compute_arrangement(ps: PointSet) -> ArrangementStats:
     1..k-1, at its first k-1 points in index order, so with N_m the number
     of forward classes of size m, s_k = N_(k-1) - N_k. Point i lies on one
     line per forward class, plus one per line on which it comes last; such
-    a line's class of size 1 sits at its second-to-last point and holds i.
+    a line's class of size 1 sits at its second-to-last point and holds i,
+    so that anchor credits i in the same scan of its own ids.
     Classes are keyed by _directions' ids with w = 4*max|Y|*max D + 1:
     |dy| = |Y_q*D_p - Y_p*D_q| <= 2*max|Y|*max D, so every |ry| < w/2.
     O(n^2) pairs on homogeneous integers, one anchor's classes held at a
@@ -170,10 +171,9 @@ def compute_arrangement(ps: PointSet) -> ArrangementStats:
         forward = Counter(keys)
         sizes.update(forward.values())
         degrees[i] += len(forward)
-        last = dict(zip(keys, range(i + 1, n)))
-        for key, size in forward.items():
-            if size == 1:
-                degrees[last[key]] += 1
+        for j, key in enumerate(keys, i + 1):
+            if forward[key] == 1:
+                degrees[j] += 1
     s = {m + 1: sizes[m] - sizes[m + 1] for m in sorted(sizes) if sizes[m] > sizes[m + 1]}
     degree = max(degrees, default=0)
     return ArrangementStats(

@@ -353,3 +353,49 @@ def test_kernel_ids_decode_to_the_exact_directions(monkeypatch, coords, widest):
             top = max(top, abs(ry))
     if widest is not None:
         assert top == widest
+
+
+def cubic(k):
+    """P_k: the points (t, t^3) of the cuspidal cubic y = x^3 for |t| <= k."""
+    return [(t, t ** 3) for t in range(-k, k + 1)]
+
+
+def cubic_oracle(k):
+    """(s, degrees) of P_k from the group law alone, in O(n^2): three points
+    of y = x^3 are collinear exactly when their t sum to 0, so every line
+    holds 2 or 3 points, and point t lies on n - 1 lines less one per pair
+    {u, v} of other points with t + u + v = 0."""
+    ts = range(-k, k + 1)
+    present = set(ts)
+    n = len(ts)
+    zero_pairs = [sum(1 for u in ts
+                      if -t - u in present and len({t, u, -t - u}) == 3 and u < -t - u)
+                  for t in ts]
+    s3 = sum(zero_pairs) // 3
+    return {2: math.comb(n, 2) - 3 * s3, 3: s3}, [n - 1 - z for z in zero_pairs]
+
+
+def test_cuspidal_cubic_has_closed_forms():
+    for k in range(2, 41):
+        n = 2 * k + 1
+        st = compute_arrangement(PointSet.from_coords(cubic(k)))
+        s3 = (k * k + 1) // 2
+        assert st.s == {2: math.comb(n, 2) - 3 * s3, 3: s3}
+        assert st.dirac_degree == 3 * k // 2
+
+
+def test_cuspidal_cubic_matches_the_zero_sum_oracle():
+    s, degrees = cubic_oracle(300)
+    st = compute_arrangement(PointSet.from_coords(cubic(300)))
+    assert st.s == s
+    assert (st.dirac_degree, st.dirac_witness) == (max(degrees), degrees.index(max(degrees)))
+    # (X, Y, Z) -> (X, Z)/(Y + 10^7 Z) keeps collinearity and sends no point
+    # of P_100 to infinity; the image gives every point its own x
+    # denominator, so each pair is reduced on the homogeneous path
+    s, degrees = cubic_oracle(100)
+    image = [(Fraction(t, y + 10**7), Fraction(1, y + 10**7)) for t, y in cubic(100)]
+    assert len({x.denominator for x, _y in image}) == 201
+    st = compute_arrangement(PointSet.from_coords(image))
+    assert s == st.s == {2: 5100, 3: 5000}
+    assert (st.dirac_degree, st.dirac_witness) == (150, degrees.index(150))
+    assert max(degrees) == 150

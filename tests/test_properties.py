@@ -12,11 +12,12 @@ of the checkout.
 import json
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import reference_climb  # noqa: E402
@@ -92,6 +93,47 @@ def test_permutations_keep_the_arrangement(drawn):
     assert degrees(shuffled) == [old_degrees[i] for i in order]
     top = [pos for pos, i in enumerate(order) if old_degrees[i] == base.dirac_degree]
     assert moved.dirac_witness == min(top)
+
+
+KELLY_MOSER_7 = [(p.x, p.y) for p in parse_points(
+    (Path(__file__).resolve().parent / "data" / "kelly_moser_7.txt").read_text())]
+
+# grids, two-row sets {0..k-1} x {0, 1} and the Kelly-Moser 7-point set:
+# sets with many lines of three or more points
+structured_sets = st.one_of(
+    st.builds(lambda w, h: [(x, y) for x in range(w) for y in range(h)],
+              st.integers(2, 5), st.integers(2, 5)),
+    st.integers(2, 8).map(lambda k: [(x, y) for x in range(k) for y in (0, 1)]),
+    st.just(KELLY_MOSER_7),
+)
+
+
+def determinant(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+small_ints = st.integers(-3, 3)
+projective_maps = st.tuples(*[st.tuples(small_ints, small_ints, small_ints)] * 3).filter(
+    lambda m: determinant(m) != 0)
+
+
+@fixed(100)
+@given(structured_sets, projective_maps)
+def test_projective_maps_keep_the_arrangement(coords, m):
+    # (x, y, 1) -> m (x, y, 1) keeps collinearity; the points generally get
+    # different denominators, so pairs take the homogeneous path
+    (a, b, c), (d, e, f), (g, h, i) = m
+    assume(all(g * x + h * y + i != 0 for x, y in coords))
+    ps = PointSet.from_coords(coords)
+    image = PointSet.from_coords((Fraction(a * x + b * y + c, g * x + h * y + i),
+                                  Fraction(d * x + e * y + f, g * x + h * y + i))
+                                 for x, y in coords)
+    base = compute_arrangement(ps)
+    moved = compute_arrangement(image)
+    assert histogram(moved) == histogram(base)
+    assert moved.dirac_witness == base.dirac_witness
+    assert degrees(image) == degrees(ps)
 
 
 @fixed(8)
