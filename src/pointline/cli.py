@@ -15,6 +15,19 @@ cutoffs; a search over its work cap; generation failed; a constants or
 verify value whose integers exceed CPython's 4300-digit limit on
 int-string conversion), with empty stdout.
 
+main is the only writer of stdout and the only code that maps refusals
+to exit codes. Each _cmd_* handler returns (payload, text, source, code):
+the JSON payload (None for generate, which has no --json), the human
+text, the point-file bytes it read (or None) and its exit code. main
+writes _document(...) under --json, else the text. A refusal's message
+goes to stderr, and its code comes from one table: a _CliFailure (a file
+that cannot be read, an unknown check, a broken constants flag rule, a
+failed --out write) carries its own; BadCutoff, BadEps, NoSolution and
+GenerationFailed exit 5; a ValueError exits 2 under generate and search,
+whose library functions check their own flags, and 5 under every other
+command. Any other exception, ClaimViolated included, is not a refusal
+and keeps its traceback.
+
 A report's payload keys are its record's field names: _plain walks a
 record's fields, so ArrangementStats, CheckReport, ProofTrace, Interval,
 DeltaBreakdown and PipelineParams are rendered without a key list of
@@ -69,10 +82,11 @@ EXIT_DOMAIN = 5
 
 
 class _CliFailure(Exception):
+    """A refusal that carries its own exit code."""
+
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 def _dec(value) -> str:
@@ -192,6 +206,11 @@ def _read_point_file(path: str) -> tuple:
     return data, ps
 
 
+def _text(lines) -> str:
+    """lines as print writes them, one after another."""
+    return "".join(line + "\n" for line in lines)
+
+
 def _rational_flag(text: str) -> Fraction:
     try:
         return parse_rational(text)
@@ -210,14 +229,11 @@ def _int_flag(text: str) -> int:
 # analyze
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple:
     from .geometry import compute_arrangement
 
     source, ps = _read_point_file(args.file)
     stats = compute_arrangement(ps)
-    if args.json:
-        sys.stdout.write(_document(args, _plain(stats), source))
-        return EXIT_OK
     rows = [
         ("n", str(stats.n)),
         ("lines", str(stats.lines)),
@@ -227,16 +243,14 @@ def _cmd_analyze(args) -> int:
         ("dirac", f"degree {stats.dirac_degree} at index {stats.dirac_witness}"),
     ]
     rows.extend((f"s[{i}]", str(si)) for i, si in stats.s.items())
-    for key, val in rows:
-        print(f"{key:<12}{val}")
-    return EXIT_OK
+    return _plain(stats), _text(f"{key:<12}{val}" for key, val in rows), source, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     from .audits import CHECK_NAMES, CheckReport, run_check
     from .constants import PipelineParams, delta_of
     from .geometry import compute_arrangement
@@ -248,37 +262,29 @@ def _cmd_verify(args) -> int:
         raise _CliFailure(EXIT_UNKNOWN_CHECK,
                           f"unknown check name: {bad}; valid: {', '.join(CHECK_NAMES)}")
     source, ps = _read_point_file(args.file)
-    try:
-        # Refuses a bad --alpha, --beta, --tail-width, --eps or --c, in
-        # that order, whichever checks run.
-        params = PipelineParams(alpha=args.alpha, beta=args.beta, tail_width=args.tail_width)
-        breakdown = delta_of(args.c, args.eps, params)
-        stats = compute_arrangement(ps)
-        entries = [run_check(name, stats, params, breakdown) for name in names]
-        failures: list[str] = []
-        for entry in entries:
-            failures.extend(entry.binding_failures())
-        payload = {
-            "checks": [_plain(entry) for entry in entries],
-            "params": _plain(params) | {"c": args.c, "eps": _plain(args.eps)},
-            "binding_failures": failures,
-        }
-    except (BadCutoff, BadEps, ValueError) as exc:
-        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-    if args.json:
-        sys.stdout.write(_document(args, payload, source))
-    else:
-        for entry in entries:
-            if isinstance(entry, CheckReport):
-                print(_human_check_line(entry))
-                continue
-            tally = entry.small_pairs + entry.medium_pairs + entry.large_pairs
-            print(f"{entry.name}: c={entry.c} k={entry.k} pairs {entry.small_pairs}"
-                  f"+{entry.medium_pairs}+{entry.large_pairs}={tally}")
-            for r in entry.step_reports:
-                print(f"  {_human_check_line(r)}")
-        print(f"binding failures: {len(failures)}")
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    # Refuses a bad --alpha, --beta, --tail-width, --eps or --c, in that
+    # order, whichever checks run.
+    params = PipelineParams(alpha=args.alpha, beta=args.beta, tail_width=args.tail_width)
+    breakdown = delta_of(args.c, args.eps, params)
+    stats = compute_arrangement(ps)
+    entries = [run_check(name, stats, params, breakdown) for name in names]
+    failures = [failure for entry in entries for failure in entry.binding_failures()]
+    payload = {
+        "checks": [_plain(entry) for entry in entries],
+        "params": _plain(params) | {"c": args.c, "eps": _plain(args.eps)},
+        "binding_failures": failures,
+    }
+    lines = []
+    for entry in entries:
+        if isinstance(entry, CheckReport):
+            lines.append(_human_check_line(entry))
+            continue
+        tally = entry.small_pairs + entry.medium_pairs + entry.large_pairs
+        lines.append(f"{entry.name}: c={entry.c} k={entry.k} pairs {entry.small_pairs}"
+                     f"+{entry.medium_pairs}+{entry.large_pairs}={tally}")
+        lines.extend(f"  {_human_check_line(r)}" for r in entry.step_reports)
+    lines.append(f"binding failures: {len(failures)}")
+    return payload, _text(lines), source, EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 def _human_check_line(r) -> str:
@@ -293,57 +299,52 @@ def _human_check_line(r) -> str:
 # constants
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> tuple:
     from .constants import PipelineParams, beck_constant_from, delta_of, solve_fixed_point
 
     fixed_eps, optimize = args.mode == "fixed-eps", args.optimize
-    try:
-        params = PipelineParams(alpha=args.alpha, beta=args.beta, tail_width=args.tail_width)
-        # The first rule the flags break is refused: a flag is never ignored.
-        for broken, message in (
-            (optimize and fixed_eps, "--optimize needs --mode dirac or beck"),
-            (optimize and args.c is not None, "--c is not read under --optimize"),
-            (not optimize and args.c is None, "--c is required unless --optimize is given"),
-            (not optimize and (args.c_min, args.c_max) != (None, None),
-             "--c-min and --c-max need --optimize"),
-            (fixed_eps and args.eps is None, "--mode fixed-eps requires --eps"),
-            (not fixed_eps and args.eps is not None, "--eps needs --mode fixed-eps"),
-        ):
-            if broken:
-                raise _CliFailure(EXIT_PARSE, message)
-        common = _plain(params) | {"mode": args.mode}
-        if optimize:
-            payload = common | _constants_optimize(args, params)
-        elif fixed_eps:
-            bd = delta_of(args.c, args.eps, params)
-            payload = common | _plain(bd) | {
-                "eps_decimal": _dec(bd.eps),
-                "mid_term_decimal": _dec(bd.mid_term),
-            }
-        else:
-            eps, delta = solve_fixed_point(args.c, params, args.mode)
-            payload = common | {
-                "c": args.c,
-                "eps": _plain(eps),
-                "eps_decimal": _dec(eps),
-                "delta": _plain(delta),
-            }
-            if args.mode == "beck":
-                payload["beck_constant"] = _plain(beck_constant_from(eps, delta))
-                payload["eps_threshold"] = "1/49"
-                payload["eps_at_least_threshold"] = eps >= Fraction(1, 49)
-    except (BadCutoff, BadEps, NoSolution, ValueError) as exc:
-        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
-    if args.json:
-        sys.stdout.write(_document(args, payload))
-        return EXIT_OK
+    params = PipelineParams(alpha=args.alpha, beta=args.beta, tail_width=args.tail_width)
+    # The first rule the flags break is refused: a flag is never ignored.
+    for broken, message in (
+        (optimize and fixed_eps, "--optimize needs --mode dirac or beck"),
+        (optimize and args.c is not None, "--c is not read under --optimize"),
+        (not optimize and args.c is None, "--c is required unless --optimize is given"),
+        (not optimize and (args.c_min, args.c_max) != (None, None),
+         "--c-min and --c-max need --optimize"),
+        (fixed_eps and args.eps is None, "--mode fixed-eps requires --eps"),
+        (not fixed_eps and args.eps is not None, "--eps needs --mode fixed-eps"),
+    ):
+        if broken:
+            raise _CliFailure(EXIT_PARSE, message)
+    common = _plain(params) | {"mode": args.mode}
+    if optimize:
+        payload = common | _constants_optimize(args, params)
+    elif fixed_eps:
+        bd = delta_of(args.c, args.eps, params)
+        payload = common | _plain(bd) | {
+            "eps_decimal": _dec(bd.eps),
+            "mid_term_decimal": _dec(bd.mid_term),
+        }
+    else:
+        eps, delta = solve_fixed_point(args.c, params, args.mode)
+        payload = common | {
+            "c": args.c,
+            "eps": _plain(eps),
+            "eps_decimal": _dec(eps),
+            "delta": _plain(delta),
+        }
+        if args.mode == "beck":
+            payload["beck_constant"] = _plain(beck_constant_from(eps, delta))
+            payload["eps_threshold"] = "1/49"
+            payload["eps_at_least_threshold"] = eps >= Fraction(1, 49)
+    lines = []
     for key in sorted(payload.keys() - {"sweep"}):
         val = payload[key]
         if isinstance(val, dict):
-            print(f"{key:<24}[{val['lo_decimal']}, {val['hi_decimal']}] exact [{val['lo']}, {val['hi']}]")
+            lines.append(f"{key:<24}[{val['lo_decimal']}, {val['hi_decimal']}] exact [{val['lo']}, {val['hi']}]")
         else:
-            print(f"{key:<24}{val}")
-    return EXIT_OK
+            lines.append(f"{key:<24}{val}")
+    return payload, _text(lines), None, EXIT_OK
 
 
 def _constants_optimize(args, params) -> dict:
@@ -378,16 +379,11 @@ def _constants_optimize(args, params) -> dict:
 # generate
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> tuple:
     from .generators import generate
     from .pointfile import format_points
 
-    try:
-        ps = generate(args.kind, *args.sizes, extent=args.extent, seed=args.seed)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_PARSE, str(exc)) from None
-    except GenerationFailed as exc:
-        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
+    ps = generate(args.kind, *args.sizes, extent=args.extent, seed=args.seed)
     text = format_points(ps)
     if args.out:
         try:
@@ -395,25 +391,18 @@ def _cmd_generate(args) -> int:
                 f.write(text)
         except OSError as exc:
             raise _CliFailure(EXIT_PARSE, f"cannot write {args.out}: {exc}") from None
-        print(f"{args.out} n={ps.n}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+        text = f"{args.out} n={ps.n}\n"
+    return None, text, None, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # search
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple:
     from .generators import RNG_ALGORITHM, search_min_dirac
 
-    try:
-        result = search_min_dirac(args.n, args.extent, args.iters, args.seed)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_PARSE, str(exc)) from None
-    except GenerationFailed as exc:
-        raise _CliFailure(EXIT_DOMAIN, str(exc)) from None
+    result = search_min_dirac(args.n, args.extent, args.iters, args.seed)
     payload = {
         "n": args.n,
         "extent": args.extent,
@@ -425,14 +414,10 @@ def _cmd_search(args) -> int:
         "ratio_decimal": _dec(result.ratio),
         "points": [_plain((p.x, p.y)) for p in result.best_set],
     }
-    if args.json:
-        sys.stdout.write(_document(args, payload))
-    else:
-        print(f"degree {result.degree} ratio {result.ratio} "
-              f"({RNG_ALGORITHM}, seed {result.seed}, {result.iterations_run} iterations)")
-        for p in result.best_set:
-            print(f"{p.x} {p.y}")
-    return EXIT_OK
+    lines = [f"degree {result.degree} ratio {result.ratio} "
+             f"({RNG_ALGORITHM}, seed {result.seed}, {result.iterations_run} iterations)"]
+    lines.extend(f"{p.x} {p.y}" for p in result.best_set)
+    return payload, _text(lines), None, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +525,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, write its result and return its exit code, or
+    print a refusal and return the table's code (see the module docstring).
+    stdout is written outside the refusal catch, so a failed write is
+    never taken for a refusal."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, text, source, code = args.func(args)
     except _CliFailure as failure:
-        print(failure.message, file=sys.stderr)
+        print(failure, file=sys.stderr)
         return failure.code
+    except (BadCutoff, BadEps, NoSolution, GenerationFailed, ValueError) as refusal:
+        print(refusal, file=sys.stderr)
+        flags = isinstance(refusal, ValueError) and args.command in ("generate", "search")
+        return EXIT_PARSE if flags else EXIT_DOMAIN
+    if payload is not None and args.json:  # generate has no --json
+        text = _document(args, payload, source)
+    sys.stdout.write(text)
+    return code
 
 
 def _observed() -> bool:

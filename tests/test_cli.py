@@ -587,6 +587,72 @@ def test_verify_runs_the_kernel_once(tmp_path, monkeypatch, capsys):
     assert calls == [16]
 
 
+# Each command's handler, with the exit code its result carries.
+HANDLED = (
+    (["analyze", "GRID"], 0),
+    (["analyze", "GRID", "--json"], 0),
+    (["verify", "GRID"], 0),
+    (["verify", "GRID", "--check", "stt", "--alpha", "1/1000000", "--beta", "1/1000000",
+      "--json"], 1),
+    (["constants", "--c", "67", "--mode", "beck"], 0),
+    (["constants", "--mode", "dirac", "--optimize", "--c-min", "60", "--c-max", "62", "--json"],
+     0),
+    (["generate", "grid", "3", "3"], 0),
+    (["generate", "grid", "3", "3", "--out", "OUT"], 0),
+    (["search", "--n", "6", "--extent", "5", "--iters", "20", "--seed", "1", "--json"], 0),
+    (["search", "--n", "6", "--extent", "5", "--iters", "20", "--seed", "1"], 0),
+)
+
+# Each refusal a handler raises, with the exit code main maps it to.
+REFUSED = (
+    (["analyze", "MISSING"], "_CliFailure", 2),
+    (["verify", "GRID", "--check", "nope"], "_CliFailure", 4),
+    (["verify", "GRID", "--c", "7"], "BadCutoff", 5),
+    (["verify", "GRID", "--beta", "0"], "ValueError", 5),
+    (["constants", "--mode", "dirac"], "_CliFailure", 2),
+    (["constants", "--c", "27", "--mode", "dirac"], "NoSolution", 5),
+    (["constants", "--c", "71", "--mode", "fixed-eps", "--eps", "1/2"], "BadEps", 5),
+    (["generate", "grid", "5"], "ValueError", 2),
+    (["generate", "grid", "3", "3", "--out", "TMP"], "_CliFailure", 2),
+    (["generate", "random_grid", "10", "--extent", "2", "--seed", "1"], "GenerationFailed", 5),
+    (["search", "--n", "2", "--extent", "5", "--iters", "10", "--seed", "1"], "ValueError", 2),
+    (["search", "--n", "10", "--extent", "2", "--iters", "10", "--seed", "1"],
+     "GenerationFailed", 5),
+)
+
+
+def test_handlers_return_their_result_and_only_main_writes(tmp_path, capsys):
+    # a handler computes (payload, text, source, code) and writes nothing;
+    # main writes the document or the text, and maps each refusal to its code
+    from pointline import cli, errors
+
+    names = {"GRID": write_grid(tmp_path, side=4), "OUT": str(tmp_path / "out.txt"),
+             "MISSING": str(tmp_path / "missing.txt"), "TMP": str(tmp_path)}
+    for argv, expected in HANDLED:
+        argv = [names.get(arg, arg) for arg in argv]
+        args = cli._build_parser().parse_args(argv)
+        payload, text, source, code = args.func(args)
+        assert capsys.readouterr() == ("", ""), argv
+        assert code == expected, argv
+        assert (payload is None) == (argv[0] == "generate")
+        assert (source is None) == (argv[0] not in ("analyze", "verify"))
+        assert cli.main(argv) == code
+        document = "--json" in argv
+        assert capsys.readouterr() == (cli._document(args, payload, source) if document else text,
+                                       "")
+    assert (tmp_path / "out.txt").read_text() == "0 0\n0 1\n0 2\n1 0\n1 1\n1 2\n2 0\n2 1\n2 2\n"
+    types = vars(errors) | {"_CliFailure": cli._CliFailure, "ValueError": ValueError}
+    for argv, refusal, expected in REFUSED:
+        argv = [names.get(arg, arg) for arg in argv]
+        args = cli._build_parser().parse_args(argv)
+        with pytest.raises(types[refusal]):
+            args.func(args)
+        assert capsys.readouterr() == ("", ""), argv
+        assert cli.main(argv) == expected, argv
+        out, err = capsys.readouterr()
+        assert (out, err.count("\n")) == ("", 1), argv
+
+
 def test_verify_calls_each_check_through_the_audits_module(tmp_path, monkeypatch):
     # a function put in place of a check in pointline.audits is the one that
     # runs, as the benchmark's tracer relies on

@@ -1,6 +1,9 @@
 import itertools
+import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -399,3 +402,75 @@ def test_cuspidal_cubic_matches_the_zero_sum_oracle():
     assert s == st.s == {2: 5100, 3: 5000}
     assert (st.dirac_degree, st.dirac_witness) == (150, degrees.index(150))
     assert max(degrees) == 150
+
+
+def grid_oracle(a, b):
+    """(s, degrees) of the a x b grid {0..a-1} x {0..b-1}, its cells in
+    x-major order, from its primitive directions alone.
+
+    A line of the grid has a primitive direction v = (p, q), with q > 0 or
+    v = (1, 0). The starting cells z of lines of v with at least k points
+    (z, z + v, ..., z + (k-1)v inside, z - v outside) are the box of
+    R(k-1) = (a - (k-1)|p|)(b - (k-1)q) cells that fit k points, less the
+    R(k) that also fit z - v; so R(k-1) - 2R(k) + R(k+1) lines of v hold
+    exactly k points. A cell's degree is its number of primitive vectors w
+    with z + w in the grid, less one for each v with both z + v and z - v
+    in it; P[X][Y] counts the primitive (p, q) with 1 <= p <= X, 1 <= q <= Y.
+    """
+    def fit(m, p, q):
+        return max(0, a - m * abs(p)) * max(0, b - m * q)
+
+    s = {}
+    for p in range(-(a - 1), a):
+        for q in range(b):
+            if (q > 0 and math.gcd(p, q) == 1) or (p, q) == (1, 0):
+                k = 2
+                while fit(k - 1, p, q):
+                    exact = fit(k - 1, p, q) - 2 * fit(k, p, q) + fit(k + 1, p, q)
+                    if exact:
+                        s[k] = s.get(k, 0) + exact
+                    k += 1
+    P = [[0] * b for _ in range(a)]
+    for x in range(1, a):
+        for y in range(1, b):
+            P[x][y] = P[x - 1][y] + P[x][y - 1] - P[x - 1][y - 1] + (math.gcd(x, y) == 1)
+    degrees = []
+    for x in range(a):
+        for y in range(b):
+            left, right, down, up = x, a - 1 - x, y, b - 1 - y
+            reach = (P[right][up] + P[left][up] + P[right][down] + P[left][down]
+                     + (left > 0) + (right > 0) + (down > 0) + (up > 0))
+            mx, my = min(left, right), min(down, up)
+            both = 2 * P[mx][my] + (mx > 0) + (my > 0)
+            degrees.append(reach - both)
+    return dict(sorted(s.items())), degrees
+
+
+def test_grid_oracle_matches_the_brute_force_oracle_on_small_grids():
+    for a, b in [*itertools.product(range(1, 6), repeat=2), (2, 9), (7, 3)]:
+        s, degrees = grid_oracle(a, b)
+        expected = oracle_arrangement([(x, y) for x in range(a) for y in range(b)])
+        assert s == expected["s"], (a, b)
+        assert max(degrees) == expected["dirac_degree"], (a, b)
+        assert degrees.index(max(degrees)) == expected["dirac_witness"], (a, b)
+
+
+def test_analyze_of_a_40x40_grid_matches_the_grid_oracle(tmp_path):
+    # 1600 points with lines of every length 2..40 in 1896 directions
+    a = b = 40
+    path = tmp_path / "grid40.txt"
+    path.write_text("".join(f"{x} {y}\n" for x in range(a) for y in range(b)))
+    proc = subprocess.run([sys.executable, "-m", "pointline", "analyze", str(path), "--json"],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    s, degrees = grid_oracle(a, b)
+    assert json.loads(proc.stdout)["payload"] == {
+        "n": a * b,
+        "s": [[k, sk] for k, sk in s.items()],
+        "lines": sum(s.values()),
+        "incidences": sum(k * sk for k, sk in s.items()),
+        "edges": sum((k - 1) * sk for k, sk in s.items()),
+        "l_max": max(s),
+        "dirac_degree": max(degrees),
+        "dirac_witness": degrees.index(max(degrees)),
+    }
