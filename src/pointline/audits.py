@@ -109,9 +109,9 @@ def check_stt(
 
     (a) sum_{j>=i} (j-1) s_j <= max(alpha n, beta n^2 / (2 (i-1)^2))
     (b) sum_{j>=i} s_j       <= max(alpha n / (i-1), beta n^2 / (2 (i-1)^3))
+
+    A level i < 2 is refused by subgraph_edge_count's ValueError.
     """
-    if i < 2:
-        raise ValueError(f"level must be >= 2, got {i}")
     n = stats.n
     edge_lhs = subgraph_edge_count(stats, i)
     line_lhs = sum(sj for j, sj in stats.s.items() if j >= i)

@@ -406,16 +406,16 @@ def _cmd_search(args) -> tuple:
     payload = {
         "n": args.n,
         "extent": args.extent,
-        "iterations_run": result.iterations_run,
-        "seed": result.seed,
-        "rng": result.rng_algorithm,
+        "iterations_run": args.iters,
+        "seed": args.seed,
+        "rng": RNG_ALGORITHM,
         "degree": result.degree,
         "ratio": _plain(result.ratio),
         "ratio_decimal": _dec(result.ratio),
         "points": [_plain((p.x, p.y)) for p in result.best_set],
     }
     lines = [f"degree {result.degree} ratio {result.ratio} "
-             f"({RNG_ALGORITHM}, seed {result.seed}, {result.iterations_run} iterations)"]
+             f"({RNG_ALGORITHM}, seed {args.seed}, {args.iters} iterations)"]
     lines.extend(f"{p.x} {p.y}" for p in result.best_set)
     return payload, _text(lines), None, EXIT_OK
 

@@ -4,7 +4,8 @@ generate(kind, *sizes, extent=None, seed=None) builds each of KINDS and
 owns every rule on its arguments; the generate command passes its
 arguments through unchanged. Randomness comes from an in-package
 SplitMix64 stream so that every result is reproducible bit-for-bit across
-platforms and runs; the algorithm name travels with search results.
+platforms and runs; the search command writes the algorithm name,
+RNG_ALGORITHM, into every search document.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ KINDS = ("grid", "near_pencil", "collinear", "parabola", "random_grid")
 MAX_POINTS = 10**6
 
 # Largest amount of work search_min_dirac() takes on, in units of about a
-# microsecond: each restart reduces C(n, 2) point pairs, and each iteration
-# scores one proposal against the n points plus a fixed cost of about ten.
-# A proposal reduces at most n - 1 pairs and stops once it is worse than the
-# current degree, so n + 10 is an upper bound on its work; the cap and the
-# formula are kept unchanged from when every proposal reduced 2(n - 1).
+# microsecond. A search of n points over I iterations in R restarts counts
+# R * C(n, 2) + I * (n + 10) and is refused above the cap: each restart
+# reduces its start's C(n, 2) point pairs, and each proposal reduces at most
+# n - 1 pairs, plus a fixed cost of about ten.
 MAX_SEARCH_WORK = 10**6
 
 RNG_ALGORITHM = "splitmix64"
@@ -272,9 +272,10 @@ class SearchResult(Record):
     best_set: PointSet
     degree: int
     ratio: Fraction
+    # always the iterations argument, kept only because bench/trace_entry.py
+    # counts generators.iterations from it; ROADMAP item 2's in-package
+    # instrument retires it
     iterations_run: int
-    seed: int
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchResult:
@@ -349,5 +350,4 @@ def search_min_dirac(n: int, extent: int, iterations: int, seed: int) -> SearchR
         degree=best_deg,
         ratio=Fraction(2 * best_deg, n),
         iterations_run=iterations,
-        seed=seed,
     )

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from pointline import (
     compute_arrangement,
     delta_of,
     generate,
+    solve_fixed_point,
     tail_sum,
 )
 
@@ -92,7 +94,7 @@ def test_stt():
     rep = check_stt(GRID3, 4, PipelineParams())
     assert rep.holds
     assert all(p.lhs == 0 for p in rep.parts)  # no 4-lines in the 3x3 grid
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^level must be >= 2, got 1$"):
         check_stt(GRID5, 1, PipelineParams())
 
 
@@ -248,6 +250,44 @@ def test_proof_trace_pins_every_step_with_medium_levels():
     # eps * alpha * n^2 / 2 = (2/5)(103/16)(810000)/2
     assert (by_name["large-pairs"].lhs, by_name["large-pairs"].rhs) == (60630, 1042875)
     assert all(r.holds and r.preconditions_met for r in tr.step_reports)
+
+
+# P_60 = {(t, t^3) : -60 <= t <= 60}: n = 121 and l_max = 3, so at c = 71
+# and the dirac fixed point every precondition of the trace holds
+P60 = PointSet.from_coords((t, t**3) for t in range(-60, 61))
+P60_SLACKS = {
+    "small-pairs": Fraction(20836761, 337),
+    "medium-lines": 0,
+    "medium-pairs": Fraction(402897665503681579, 140308258766848),
+    "large-pairs": Fraction(64295581108300008115, 49331467823464448),
+}
+
+
+def test_proof_trace_bites_on_the_cuspidal_cubic(tmp_path, capsys):
+    from pointline import cli
+
+    eps, _ = solve_fixed_point(71)
+    assert eps == Fraction(42635676716005, 1541608369483264)
+    tr = audit_proof_steps(compute_arrangement(P60), delta_of(71, eps), PipelineParams())
+    # every pair lies on a line of 2 or 3 points, all small at c = 71
+    assert tr.k == 4
+    assert (tr.small_pairs, tr.medium_pairs, tr.large_pairs) == (7260, 0, 0)
+    assert {r.name: r.slack for r in tr.step_reports} == P60_SLACKS
+    assert tr.step_reports[1].note == "no medium levels"
+    assert all(r.holds and r.preconditions_met for r in tr.step_reports)
+    assert tr.binding_failures() == []
+
+    path = tmp_path / "p60.txt"
+    path.write_text("".join(f"{p.x} {p.y}\n" for p in P60))
+    assert cli.main(["verify", str(path), "--check", "proof-trace", "--c", "71",
+                     "--eps", str(eps), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["binding_failures"] == []
+    (trace,) = payload["checks"]
+    assert (trace["k"], trace["small_pairs"], trace["medium_pairs"],
+            trace["large_pairs"]) == (4, 7260, 0, 0)
+    assert {r["name"]: r["slack"] for r in trace["step_reports"]} == {
+        name: str(slack) for name, slack in P60_SLACKS.items()}
 
 
 def test_proof_trace_domain_errors():

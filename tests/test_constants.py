@@ -312,6 +312,45 @@ def test_larger_alpha_shrinks_the_constant():
     assert bumped < base
 
 
+# Best cutoffs over 8..600 under other crossing-lemma constants, conditional
+# on the pipeline's formula: PAPER.md holds only the abstract, so whether the
+# paper's other steps hold for other (alpha, beta) is not checked here.
+# (139/20, 29) is cr(G) >= m^3 / (29 n^2) for m >= 6.95 n.
+CROSSING_LEMMA_ROWS = [
+    # (alpha, beta), dirac (c, delta.lo), beck (c, eps/2)
+    ((Fraction(103, 16), Fraction(31827, 1024)),
+     (71, Fraction(42635676716005, 1541608369483264)),
+     (67, Fraction(30583716366705, 2987478166793216))),
+    ((Fraction(139, 20), Fraction(29)),
+     (68, Fraction(255263748205, 9041627994624)),
+     (64, Fraction(180635065195, 17120612057088))),
+    ((Fraction(7), Fraction(29)),
+     (68, Fraction(51052749641, 1812456480768)),
+     (64, Fraction(36127013039, 3430202474496))),
+]
+
+
+@pytest.mark.parametrize("params, dirac, beck", CROSSING_LEMMA_ROWS)
+def test_best_cutoffs_conditional_on_the_pipelines_formula(params, dirac, beck):
+    params = PipelineParams(*params)
+    c, (_, delta) = optimize_c(8, 600, params, "dirac")
+    assert (c, delta.lo) == dirac
+    c, (eps, _) = optimize_c(8, 600, params, "beck")
+    assert (c, eps / 2) == beck
+
+
+def test_delta_never_rises_with_alpha_or_beta_conditional_on_the_pipelines_formula():
+    # one certified row then covers every stronger crossing lemma
+    alphas = [Fraction(0), Fraction(103, 16), Fraction(139, 20), Fraction(7), Fraction(10)]
+    betas = [Fraction(29), Fraction(31827, 1024), Fraction(32), Fraction(40)]
+    for c in (8, 67, 71):
+        for eps in (Fraction(1, 37), Fraction(1, 49)):
+            lo = [[delta_of(c, eps, PipelineParams(a, b)).delta.lo for b in betas]
+                  for a in alphas]
+            for line in (*lo, *zip(*lo)):  # along beta, then along alpha
+                assert list(line) == sorted(line, reverse=True), (c, eps)
+
+
 def test_interval_type():
     iv = Interval(Fraction(1, 3), Fraction(1, 2))
     assert iv.width == Fraction(1, 6)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import subprocess
 import sys
 import time
@@ -10,12 +11,13 @@ from conftest import _max_degree, reference_climb
 from pointline import (
     GenerationFailed,
     Point,
+    SearchResult,
     compute_arrangement,
     dirac_degree,
     generate,
     search_min_dirac,
 )
-from pointline import generators, geometry
+from pointline import cli, generators, geometry
 from pointline.generators import MAX_POINTS, RNG_ALGORITHM, SplitMix64
 from pointline.geometry import _directions
 
@@ -136,7 +138,9 @@ def test_search_tiny():
     res = search_min_dirac(n=3, extent=2, iterations=10, seed=1)
     assert res.degree == 2
     assert res.ratio == Fraction(4, 3)  # 2 / (3/2)
-    assert res.rng_algorithm == RNG_ALGORITHM == "splitmix64"
+    # the result holds what the climb found; its RNG name is the constant
+    assert SearchResult._fields == ("best_set", "degree", "ratio", "iterations_run")
+    assert RNG_ALGORITHM == "splitmix64"
 
 
 def test_search_forced_full_grid():
@@ -147,13 +151,19 @@ def test_search_forced_full_grid():
         (x, y) for x in range(3) for y in range(3)]
 
 
-def test_search_golden_run():
+def test_search_golden_run(capsys):
     # regression anchor, pinned from the first run of this configuration
     res = search_min_dirac(n=12, extent=11, iterations=10**4, seed=42)
     assert res.degree == 8
     assert res.ratio == Fraction(4, 3)
     assert res.iterations_run == 10**4
-    assert res.seed == 42
+    # the document's seed and iteration count are the flags, its RNG name the constant
+    assert cli.main(["search", "--n", "12", "--extent", "11", "--iters", "10000",
+                     "--seed", "42", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert (payload["seed"], payload["rng"], payload["iterations_run"]) == (
+        42, RNG_ALGORITHM, 10**4)
+    assert payload["degree"] == 8
 
 
 def test_search_golden_run_n40():

@@ -4,16 +4,19 @@ objects, and the package resolves its public names on first use."""
 import ast
 import copy
 import importlib
+import json
 import pickle
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import pointline
 from pointline import (
-    RNG_ALGORITHM,
     CheckReport,
     DeltaBreakdown,
     Interval,
@@ -93,7 +96,7 @@ VALID = {
     ProofTrace: dict(c=8, k=3, eps=1, small_pairs=0, medium_pairs=0, large_pairs=0,
                      small_incidences=0, medium_incidences=0, step_reports=()),
     SearchResult: dict(best_set=PointSet.from_coords([(0, 0)]), degree=1, ratio=2,
-                       iterations_run=10, seed=7),
+                       iterations_run=10),
 }
 
 
@@ -170,8 +173,9 @@ def test_construction_rejects_bad_arguments():
 def test_defaults_hold():
     report = _report()
     assert report.note == "" and report.parts == ()
-    result = SearchResult(PointSet.from_coords([(0, 0)]), 1, Fraction(1), 10, 7)
-    assert result.rng_algorithm == RNG_ALGORITHM
+    # a search result defaults nothing: the search document takes its RNG
+    # name from RNG_ALGORITHM and its seed from the flag
+    assert SearchResult._defaults == {}
     assert PipelineParams().alpha == Fraction(103, 16)
 
 
@@ -208,6 +212,28 @@ def test_traced_benchmark_names_resolve():
     for module, name in pairs:
         assert callable(getattr(importlib.import_module(f"pointline.{module}"), name)), (
             module, name)
+
+
+@pytest.mark.parametrize("argv, counter, value", [
+    (["search", "--n", "12", "--extent", "11", "--iters", "300", "--seed", "1", "--json"],
+     "generators.iterations", 300),
+    (["analyze", "GRID", "--json"], "geometry.pairs", comb(144, 2)),
+])
+def test_trace_harness_runs_on_this_checkout(tmp_path, argv, counter, value):
+    # bench/trace_entry.py also reads results: it counts each search's
+    # iterations_run and each kernel call's pairs, so a src change that
+    # breaks either shows here rather than in the benchmark
+    grid = tmp_path / "grid.txt"
+    grid.write_text("".join(f"{x} {y}\n" for x in range(12) for y in range(12)))
+    spans = tmp_path / "spans.json"
+    entry = Path(__file__).resolve().parent.parent / "bench" / "trace_entry.py"
+    argv = [str(grid) if arg == "GRID" else arg for arg in argv]
+    proc = subprocess.run([sys.executable, str(entry), str(spans), "r0", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(spans.read_text(encoding="utf-8"))
+    assert trace["counts"][counter] == value
+    assert "cli.main" in [span[0] for span in trace["spans"]]
 
 
 def test_submodules_resolve_as_attributes():
