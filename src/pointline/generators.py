@@ -153,9 +153,10 @@ class _Climb:
     """One restart's configuration with its pair keys and direction classes
     kept live.
 
-    A key is an int direction id of geometry._directions, whose sign rule
-    makes it the same from either end, taken on (x, y, 1) triples with
-    w = 2*side - 1: on a grid of that side every |ry| < w/2.
+    A key is an int direction id of geometry._directions,
+    |(dx*w + dy) / gcd(dx, dy)|, taken on (x, y, 1) triples with
+    w = 2*side - 1: on a grid of that side every |dy| < w/2, so the id is
+    the same from either end.
     keys[j][i] is the id between points j and i, one int object serving
     keys[i][j] too, and keys[j][j] is None. classes[j] maps each id in
     keys[j] to the number of other points on the line through j that way.
@@ -192,12 +193,13 @@ class _Climb:
         gains one if it has no class for the new id, so a point with fewer
         classes than the largest degree seen so far cannot raise it and its
         classes are not read. The moved point lies on one line per distinct
-        new id. The reduction is _directions' rule on (x, y, 1) triples,
-        kept inline in this hot loop so that a rejected proposal stops at
-        the first point whose degree passes bound: reducing the row first
-        in one call made search_min_dirac(12, 11, 3000, s) 7-11% and
-        (40, 30, 500, s) 2-5% slower in CPU (Python 3.11, 20 interleaved
-        runs, seeds 2024 and 434089801).
+        new id. The reduction is _directions' expression on (x, y, 1)
+        triples, |(dx*w + dy) / gcd(dx, dy)|, kept inline in this hot loop
+        so that a rejected proposal stops at the first point whose degree
+        passes bound: reducing the row first in one call made
+        search_min_dirac(12, 11, 3000, s) 7-11% and (40, 30, 500, s) 2-5%
+        slower in CPU (Python 3.11, 20 interleaved runs, seeds 2024 and
+        434089801).
         """
         cx, cy = cell
         w = self.w
@@ -208,10 +210,7 @@ class _Climb:
                 row.append(None)
                 continue
             dx, dy = cx - px, cy - py
-            g = gcd(dx, dy)
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            new = dx // g * w + dy // g
+            new = abs((dx * w + dy) // gcd(dx, dy))
             row.append(new)
             d = len(at_j)
             if d >= degree and old != new:

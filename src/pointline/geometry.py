@@ -8,12 +8,12 @@ point is allowed anywhere in this module.
 The arrangement kernel writes each point in homogeneous integer
 coordinates (X, Y, D), D > 0 the lcm of its own two denominators, so no
 number grows with the rest of the set. It then walks the points in order
-and groups the points after each one by their gcd-reduced integer
-direction, coded as one int id (_directions), one group per line, holding
-one point's groups at a time: O(n^2) pairs, each reduced by gcd on
-integers at most four times as wide as the widest input numerator or
-denominator, and O(n) memory. The search in generators codes its pair
-keys with the same _directions.
+and groups the points after each one by the direction of their integer
+difference (dx, dy), coded as the one int id |(dx*w + dy) / gcd(dx, dy)|
+(_directions), one group per line, holding one point's groups at a time:
+O(n^2) pairs, each reduced by gcd on integers at most four times as wide
+as the widest input numerator or denominator, and O(n) memory. The search
+in generators codes its pair keys with the same _directions.
 
 All functions are pure; callers may fan work out over configurations
 freely.
@@ -114,22 +114,20 @@ def _directions(anchor: tuple[int, int, int], others: Sequence[tuple[int, int, i
     Points are homogeneous triples (X, Y, D) for the point (X/D, Y/D),
     with D > 0. From (x, y, d) to (u, v, e) the kernel reduces
     (dx, dy) = (u*d - x*e, v*d - y*e), which is d*e > 0 times the real
-    difference, so no common denominator is needed. The direction is
-    (rx, ry) = (dx/g, dy/g) for g = gcd(dx, dy), signed so that rx > 0 or
-    rx == 0 < ry: the primitive integer vector along the real difference,
-    whatever the D values. Its id is the int rx*w + ry, so distinct
-    directions get distinct ids while every |ry| < w/2. Two others share
-    an id exactly when they lie on one line through anchor, on either side
-    of it. No other may equal anchor.
+    difference, so no common denominator is needed. The id is the int
+    |(dx*w + dy) / gcd(dx, dy)|, an exact division: it is |rx*w + ry| for
+    the primitive integer vector (rx, ry) along the real difference,
+    whatever the D values. While every |ry| < w/2, rx*w + ry codes one
+    orientation of one direction and its negation the other, so the id is
+    the same from either end and distinct directions get distinct ids.
+    Two others share an id exactly when they lie on one line through
+    anchor, on either side of it. No other may equal anchor.
     """
     px, py, pd = anchor
     ids = []
     for qx, qy, qd in others:
         dx, dy = qx * pd - px * qd, qy * pd - py * qd
-        g = gcd(dx, dy)
-        if dx < 0 or (dx == 0 and dy < 0):
-            g = -g
-        ids.append(dx // g * w + dy // g)
+        ids.append(abs((dx * w + dy) // gcd(dx, dy)))
     return ids
 
 

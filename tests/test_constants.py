@@ -1,6 +1,9 @@
+import importlib.util
+import sys
 from fractions import Fraction
 from itertools import count
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +352,93 @@ def test_delta_never_rises_with_alpha_or_beta_conditional_on_the_pipelines_formu
                   for a in alphas]
             for line in (*lo, *zip(*lo)):  # along beta, then along alpha
                 assert list(line) == sorted(line, reverse=True), (c, eps)
+
+
+def _cap(c):
+    """B(c) = (5c - 18)/(c^2 + 3c - 18) = 1/(h + 1)."""
+    return Fraction(5 * c - 18, c * c + 3 * c - 18)
+
+
+@pytest.mark.parametrize("mode, best_c, c0, above, below", [
+    ("dirac", 71, 175, Fraction(71, 2565), Fraction(857, 31132)),
+    ("beck", 67, 157, Fraction(127, 4131), Fraction(767, 25102)),
+])
+def test_default_cutoffs_are_global_optima(mode, best_c, c0, above, below):
+    """The default sweep's best cutoff beats every c >= 8, not only 8..200.
+
+    delta.lo = eps/lam = B(c)*(1 - (beta/2)(mid + tail))/(1 + lam*alpha*B(c))
+    <= B(c) = (5c - 18)/(c^2 + 3c - 18) for every c >= 8, because the base
+    1 - (beta/2)(mid + tail) is at most 1 and alpha >= 0. And B decreases
+    for c >= 7, because the numerator of B'(c) is -5c^2 + 36c - 36 < 0
+    there. So with C0 the first c where B(c) falls below the best delta.lo
+    of 8..200, every c >= C0 has delta.lo <= B(c) <= B(C0) < best; and
+    8..C0 - 1 lies inside the sweep.
+    """
+    rows = list(sweep_fixed_points(8, 200, mode=mode))
+    tail = list(sweep_fixed_points(c0, c0 + 1000, mode=mode))
+    c, (_eps, best) = best_cutoff(rows)
+    assert c == best_c
+    assert next(k for k in count(8) if _cap(k) < best.lo) == c0
+    assert (_cap(c0 - 1), _cap(c0)) == (above, below)
+    assert above > best.lo > below
+    assert all(_cap(k + 1) < _cap(k) for k in range(7, c0 + 1001))
+    assert all(delta is not None for _c, _eps, delta in tail)
+    assert all(delta.lo <= _cap(c) for c, _eps, delta in rows + tail if delta is not None)
+    assert all(_cap(c) < best.lo for c, _eps, _delta in tail)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """bench/reference.py, which never imports pointline, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its @dataclass looks its module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def enclosures(reference):
+    return reference.Enclosures()
+
+
+def _overlaps(bracket, interval):
+    return bracket.overlaps(interval.lo, interval.hi)
+
+
+@pytest.mark.parametrize("mode, c", [("dirac", 71), ("beck", 67)])
+def test_fixed_points_agree_with_the_independent_enclosure(reference, enclosures, mode, c):
+    # the benchmark's reference brackets the tail by a 2^-200 partial sum
+    # and trapezoid/midpoint bounds; pointline's tail, eps and delta must
+    # meet its brackets, and every paper target the reference certifies
+    # with the default tail width charged must be certified here too
+    eps, delta = solve_fixed_point(c, mode=mode)
+    assert _overlaps(enclosures.tail(c), tail_sum(c))
+    root = enclosures.fixed_point(c, mode, tail_hi_slack=DEFAULT_TAIL_WIDTH)
+    assert root.lo <= eps <= enclosures.fixed_point(c, mode).hi
+    assert _overlaps(enclosures.delta(c, eps), delta)
+    lam = reference.LAMBDA[mode]
+    if mode == "dirac":
+        targets = [(Fraction(1000, 36158), eps, root.lo)]
+    else:
+        const = beck_constant(c)
+        targets = [(Fraction(100, 3257), delta.lo, root.lo / lam),
+                   (Fraction(1, 98), const.lo, min(root.lo / 2, root.lo / lam / 3)),
+                   (Fraction(1, 49), eps, root.lo)]
+    for target, value, reference_value in targets:
+        assert reference_value >= target, target
+        assert value >= target, target
+
+
+def test_fixed_eps_delta_agrees_with_the_independent_enclosure(enclosures):
+    # at eps = 1/37 the target is delta >= 1/37 itself
+    eps = Fraction(1, 37)
+    bd = delta_of(71, eps)
+    assert _overlaps(enclosures.tail(71), bd.tail)
+    assert _overlaps(enclosures.delta(71, eps), bd.delta)
+    assert enclosures.delta(71, eps, tail_hi_slack=DEFAULT_TAIL_WIDTH).lo >= eps
+    assert bd.delta.lo >= eps
 
 
 def test_interval_type():
